@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .geometry import HalfSpace, HPolytope, LatticeBasis, VPolytope
-from .groups import Group, Z2, Z2xZ2, Z3, group_by_name, zero_sum_tuples
+from .groups import Group, Z2, Z2xZ2, Z3, zero_sum_tuples
 
 # The two fixed families of 2-vectors defining the Z3 cut functionals:
 # channel 1 uses U, channel 2 uses W, indexed by the digit at each block.
@@ -288,7 +288,3 @@ def vertex_generators(group: Group, n: int) -> LatticeBasis:
 def model_lattice_index(group: Group) -> int:
     """Index of the model lattice inside Z^dim: 2, 4, 3 for Z2, Z2xZ2, Z3."""
     return {Z2: 2, Z2xZ2: 4, Z3: 3}[group]
-
-
-def group_from_cli(name: str) -> Group:
-    return group_by_name(name)

@@ -20,11 +20,12 @@ import click
 
 from . import serialize
 from .clawpoly import facets as claw_facets
-from .clawpoly import group_from_cli, model_lattice_index
+from .clawpoly import model_lattice_index
 from .clawpoly import vertices as claw_vertices
 from .cuts import LEMMA_GROUPS, LEMMA_IDS, run_lemma
 from .formulas import degree_table
 from .geometry import GuardRailError
+from .groups import group_by_name
 from .serialize import rat_to_str
 from .verify import METHODS, degree_by_method, verify_degree, verify_doc, verify_text
 
@@ -57,12 +58,6 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _check_format(fmt: str, allowed: tuple[str, ...]) -> None:
-    if fmt not in allowed:
-        raise ValueError(
-            f"format {fmt!r} is not valid here; choose from: {', '.join(allowed)}")
-
-
 _group_option = click.option(
     "--group", "group_name", required=True,
     help="Group: z2, z2xz2, or z3.")
@@ -78,8 +73,15 @@ _guard_option = click.option(
 
 @click.group()
 @click.version_option(package_name="clawvol")
-def main() -> None:
+@click.pass_context
+def main(ctx: click.Context) -> None:
     """Exact lattice volumes and degrees for claw-tree model polytopes."""
+    # Exact degrees outgrow Python's default limit on int-to-str digits; lift
+    # it for this command and put it back when the command ends.
+    if hasattr(sys, "set_int_max_str_digits"):
+        ctx.call_on_close(functools.partial(sys.set_int_max_str_digits,
+                                            sys.get_int_max_str_digits()))
+        sys.set_int_max_str_digits(0)
 
 
 @main.command("vertices")
@@ -91,7 +93,7 @@ def main() -> None:
 @_handle_errors
 def vertices_cmd(group_name: str, n: int, fmt: str, output: str | None) -> None:
     """List the polytope's vertices."""
-    group = group_from_cli(group_name)
+    group = group_by_name(group_name)
     vp = claw_vertices(group, n)
     if fmt == "text":
         lines = [" ".join(rat_to_str(x) for x in v) for v in vp.vertices]
@@ -112,7 +114,7 @@ def vertices_cmd(group_name: str, n: int, fmt: str, output: str | None) -> None:
 @_handle_errors
 def facets_cmd(group_name: str, n: int, fmt: str, output: str | None) -> None:
     """List the facet inequalities <a, x> <= b."""
-    group = group_from_cli(group_name)
+    group = group_by_name(group_name)
     hp = claw_facets(group, n)
     if fmt == "text":
         lines = [
@@ -138,7 +140,7 @@ def facets_cmd(group_name: str, n: int, fmt: str, output: str | None) -> None:
 def volume_cmd(group_name: str, n: int, method: str, output: str | None,
                override_guard: bool) -> None:
     """Lattice volume of the polytope in the standard lattice Z^d."""
-    group = group_from_cli(group_name)
+    group = group_by_name(group_name)
     value = degree_by_method(group, n, method, allow_big=override_guard)
     value *= model_lattice_index(group)
     _emit(rat_to_str(value) + "\n", output)
@@ -155,7 +157,7 @@ def volume_cmd(group_name: str, n: int, method: str, output: str | None,
 def degree_cmd(group_name: str, n: int, method: str, output: str | None,
                override_guard: bool) -> None:
     """Degree: the volume measured in the model lattice."""
-    group = group_from_cli(group_name)
+    group = group_by_name(group_name)
     value = degree_by_method(group, n, method, allow_big=override_guard)
     _emit(rat_to_str(value) + "\n", output)
 
@@ -167,7 +169,7 @@ def degree_cmd(group_name: str, n: int, method: str, output: str | None,
 @_handle_errors
 def assemble_cmd(group_name: str, n: int, output: str | None) -> None:
     """Degree by the arithmetic inclusion-exclusion route."""
-    group = group_from_cli(group_name)
+    group = group_by_name(group_name)
     value = degree_by_method(group, n, "inclusion-exclusion")
     _emit(rat_to_str(value) + "\n", output)
 
@@ -185,7 +187,7 @@ def assemble_cmd(group_name: str, n: int, output: str | None) -> None:
 def verify_cmd(group_name: str, n: int, methods: tuple[str, ...], fmt: str,
                output: str | None, override_guard: bool) -> None:
     """Cross-check the degree by independent methods; exit 1 on mismatch."""
-    group = group_from_cli(group_name)
+    group = group_by_name(group_name)
     selected: tuple[str, ...] = ()
     for m in methods:
         picked = METHODS if m == "all" else (m,)
@@ -215,7 +217,7 @@ def lemma_cmd(lemma_id: str, n: int, group_name: str | None, fmt: str,
               output: str | None, override_guard: bool) -> None:
     """Check every instance of one claim family; exit 1 on any refutation."""
     expected_group = LEMMA_GROUPS[lemma_id]
-    if group_name is not None and group_from_cli(group_name) is not expected_group:
+    if group_name is not None and group_by_name(group_name) is not expected_group:
         raise ValueError(
             f"lemma {lemma_id} concerns group {expected_group.name}, "
             f"not {group_name}")
@@ -264,7 +266,7 @@ def _parse_n_range(text: str) -> tuple[int, int]:
 def table_cmd(group_name: str, n_range: str, fmt: str, output: str | None,
               override_guard: bool) -> None:
     """Tabulate degrees over a range of n."""
-    group = group_from_cli(group_name)
+    group = group_by_name(group_name)
     lo, hi = _parse_n_range(n_range)
     rows = degree_table(group, lo, hi, allow_big=override_guard)
     if fmt == "csv":

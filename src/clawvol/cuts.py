@@ -47,7 +47,7 @@ from .formulas import (
 )
 from .geometry import HPolytope, VPolytope, affine_dim, vertex_enumeration
 from .groups import Group, Z2, Z2xZ2, Z3
-from .volume import lattice_volume
+from .volume import check_dimension_guard, lattice_volume
 
 
 @dataclass(frozen=True)
@@ -85,6 +85,7 @@ def piece_vertices(spec: CutSpec) -> VPolytope:
 
 def piece_volume(spec: CutSpec, *, allow_big: bool = False) -> Fraction:
     """Exact lattice volume of the piece in Z^((|G|-1)n)."""
+    check_dimension_guard(ambient_dim(spec.group, spec.n), allow_big)
     return lattice_volume(piece_vertices(spec), allow_big=allow_big)
 
 
@@ -116,18 +117,6 @@ def assemble(group: Group, n: int) -> Fraction:
         union = (2 * 3 ** (n - 1) * cut_formula(Z3_ONE_FACET, n)
                  - n * 3 ** (n - 1) * cut_formula(Z3_TWO_FACET, n))
     return (box - union) / model_lattice_index(group)
-
-
-def union_closed_form(group: Group, n: int) -> Fraction:
-    """The union volume implied by ``assemble``: ambient minus degree*index."""
-    if group is Z2:
-        return 2 ** (n - 1) * cut_formula(Z2_CUT, n)
-    if group is Z2xZ2:
-        return (3 * 2 ** (n - 1) * cut_formula(Z22_ONE_FACET, n)
-                - 3 * 4 ** (n - 1) * cut_formula(Z22_TWO_FACET, n)
-                + n * 4 ** (n - 1) * (4 - Fraction(3, 2 ** (n - 1))))
-    return (2 * 3 ** (n - 1) * cut_formula(Z3_ONE_FACET, n)
-            - n * 3 ** (n - 1) * cut_formula(Z3_TWO_FACET, n))
 
 
 def union_volume_by_regions(group: Group, n: int, *,
@@ -412,6 +401,8 @@ def check_lemma(claim: LemmaClaim, *, allow_big: bool = False) -> Verdict:
     """Decide one claim against the exact geometry oracle."""
     spec = claim.spec
     dim = ambient_dim(spec.group, spec.n)
+    if claim.kind == VOLUME:
+        check_dimension_guard(dim, allow_big)
     verts = piece_vertices(spec)
 
     if claim.kind == VOLUME:

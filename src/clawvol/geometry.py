@@ -273,26 +273,48 @@ def vertex_enumeration(hp: HPolytope) -> VPolytope:
 # Rank, affine dimension, hull membership
 # ---------------------------------------------------------------------------
 
-def matrix_rank(rows: Sequence[Sequence]) -> int:
-    """Rank of a rational matrix by Gaussian elimination."""
-    work = [[Fraction(v) for v in row] for row in rows if any(row)]
-    rank = 0
-    ncols = len(work[0]) if work else 0
-    for col in range(ncols):
-        pivot_row = next(
-            (i for i in range(rank, len(work)) if work[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        pivot = work[rank][col]
-        for i in range(rank + 1, len(work)):
-            factor = work[i][col] / pivot
-            if factor:
-                work[i] = [a - factor * b for a, b in zip(work[i], work[rank])]
-        rank += 1
-        if rank == len(work):
+def bareiss(rows: list[list[int]]) -> tuple[list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix, in place.
+
+    Returns the pivot columns and the last pivot (1 when there is none).
+    Every entry stays a minor of the input (Bareiss 1968), so each division
+    is exact.  Consequences the callers rely on: the rank is the number of
+    pivots; a square matrix of full rank has determinant +-(last pivot);
+    and eliminating ``[M | I]`` for a nonsingular M leaves (last pivot) *
+    M^-1, the adjugate up to sign, in the right block.
+    """
+    m = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == m:
             break
-    return rank
+        found = next((i for i in range(r, m) if rows[i][c]), None)
+        if found is None:
+            continue
+        rows[r], rows[found] = rows[found], rows[r]
+        row_r = rows[r]
+        piv = row_r[c]
+        for i in range(m):
+            if i == r:
+                continue
+            f = rows[i][c]
+            if f:
+                rows[i] = [(piv * a - f * b) // prev
+                           for a, b in zip(rows[i], row_r)]
+            elif piv != prev:
+                # A zero in the pivot column only rescales the row.
+                rows[i] = [piv * a // prev for a in rows[i]]
+        prev = piv
+        pivots.append(c)
+    return pivots, prev
+
+
+def matrix_rank(rows: Sequence[Sequence]) -> int:
+    """Rank of a rational matrix."""
+    return len(bareiss([list(_scaled_integers(row)) for row in rows])[0])
 
 
 def affine_dim(points: Sequence[Sequence]) -> int:

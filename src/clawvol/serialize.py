@@ -16,7 +16,6 @@ import re
 from fractions import Fraction
 
 from .geometry import HPolytope, HalfSpace, VPolytope
-from .volume import Triangulation
 
 
 class FormatError(ValueError):
@@ -67,16 +66,6 @@ def hpolytope_to_doc(hp: HPolytope) -> dict:
     }
 
 
-def triangulation_to_doc(t: Triangulation) -> dict:
-    doc = vpolytope_to_doc(t.polytope)
-    return {
-        "kind": "triangulation",
-        "dim": t.polytope.dim,
-        "vertices": doc["vertices"],
-        "simplices": [list(s) for s in t.simplices],
-    }
-
-
 def doc_to_vpolytope(doc: dict) -> VPolytope:
     if doc.get("kind") != "vpolytope":
         raise FormatError("expected a vpolytope document")
@@ -95,16 +84,6 @@ def doc_to_hpolytope(doc: dict) -> HPolytope:
         for h in doc["halfspaces"]
     )
     return HPolytope(dim, rows)
-
-
-def doc_to_triangulation(doc: dict) -> Triangulation:
-    if doc.get("kind") != "triangulation":
-        raise FormatError("expected a triangulation document")
-    vp = VPolytope(int(doc["dim"]),
-                   tuple(tuple(str_to_rat(x) for x in v)
-                         for v in doc["vertices"]))
-    simplices = tuple(tuple(int(i) for i in s) for s in doc["simplices"])
-    return Triangulation(vp, simplices)
 
 
 def dumps(doc: dict) -> str:

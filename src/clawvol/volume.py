@@ -4,13 +4,13 @@ The triangulation strategy is fixed: vertices are taken in their canonical
 lexicographic order, a first full-dimensional simplex is built greedily, and
 every later point is attached by coning over the boundary facets it can see
 strictly.  Ties never arise because insertion order is the total lex order.
-All determinants are computed on denominator-cleared integer matrices with
-fraction-free (Bareiss) elimination, so results are exact.
+Points are scaled to a common denominator, and one fraction-free kernel
+(``geometry.bareiss``) supplies every rank, determinant and facet
+functional, so results are exact.
 
-Volume conventions: ``euclidean_volume`` is the ordinary measure;
-``lattice_volume`` in a lattice L of index k inside Z^d is
-``d! * euclidean / k``; a polytope of deficient affine dimension has
-volume 0 in both senses.
+Volume convention: ``lattice_volume`` in a lattice L of index k inside Z^d
+is ``d! * euclidean volume / k``; a polytope of deficient affine dimension
+has volume 0.
 """
 
 from __future__ import annotations
@@ -25,32 +25,14 @@ from .geometry import (
     LatticeBasis,
     Point,
     VPolytope,
-    _as_point,
     _primitive,
+    bareiss,
     lattice_index,
     matrix_rank,
 )
 
 MAX_DIM = 14
 MAX_VERTICES = 200
-
-
-@dataclass(frozen=True)
-class Simplex:
-    """d+1 points in R^d; degenerate (flat) simplices are allowed."""
-
-    dim: int
-    points: tuple[Point, ...]
-
-    def __post_init__(self):
-        pts = tuple(_as_point(p) for p in self.points)
-        object.__setattr__(self, "points", pts)
-        if len(pts) != self.dim + 1:
-            raise ValueError(
-                f"simplex in R^{self.dim} needs {self.dim + 1} points, got {len(pts)}")
-
-    def is_degenerate(self) -> bool:
-        return simplex_lattice_volume(self) == 0
 
 
 @dataclass(frozen=True)
@@ -64,36 +46,6 @@ class Triangulation:
     def dim(self) -> int:
         return self.polytope.dim
 
-    def simplex(self, i: int) -> Simplex:
-        verts = self.polytope.vertices
-        return Simplex(self.dim, tuple(verts[j] for j in self.simplices[i]))
-
-    def all_simplices(self) -> tuple[Simplex, ...]:
-        return tuple(self.simplex(i) for i in range(len(self.simplices)))
-
-
-def _int_det(m: list[list[int]]) -> int:
-    """Determinant of an integer matrix by fraction-free elimination."""
-    n = len(m)
-    if n == 0:
-        return 1
-    m = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[-1][-1]
-
 
 def _common_denominator(points: Sequence[Point]) -> int:
     lcm = 1
@@ -103,91 +55,23 @@ def _common_denominator(points: Sequence[Point]) -> int:
     return lcm
 
 
-def simplex_lattice_volume(s: Simplex) -> Fraction:
-    """Normalized volume in Z^dim: |det(v_i - v_0)|, exactly."""
-    base = s.points[0]
-    diffs = [[v - b for v, b in zip(p, base)] for p in s.points[1:]]
-    scale = 1
-    for row in diffs:
-        for v in row:
-            scale = scale * v.denominator // math.gcd(scale, v.denominator)
-    int_rows = [[int(v * scale) for v in row] for row in diffs]
-    det = _int_det(int_rows)
-    return Fraction(abs(det), scale ** s.dim)
+def check_dimension_guard(dim: int, allow_big: bool) -> None:
+    """Refuse to triangulate in dimension above ``MAX_DIM`` unless ``allow_big``.
 
-
-def simplex_volume(s: Simplex) -> Fraction:
-    """Euclidean volume: |det(v_i - v_0)| / dim!."""
-    return simplex_lattice_volume(s) / math.factorial(s.dim)
+    Needs only the dimension, so callers can refuse before enumerating vertices.
+    """
+    if not allow_big and dim > MAX_DIM:
+        raise GuardRailError(
+            f"triangulation refused: dimension {dim} exceeds {MAX_DIM} "
+            "(pass the override to force)")
 
 
 def _check_guard(vp: VPolytope, allow_big: bool) -> None:
-    if allow_big:
-        return
-    if vp.dim > MAX_DIM:
-        raise GuardRailError(
-            f"triangulation refused: dimension {vp.dim} exceeds {MAX_DIM} "
-            "(pass the override to force)")
-    if len(vp.vertices) > MAX_VERTICES:
+    check_dimension_guard(vp.dim, allow_big)
+    if not allow_big and len(vp.vertices) > MAX_VERTICES:
         raise GuardRailError(
             f"triangulation refused: {len(vp.vertices)} vertices exceed "
             f"{MAX_VERTICES} (pass the override to force)")
-
-
-def _facet_hyperplane(ipts: Sequence[tuple[int, ...]],
-                      facet: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """Primitive integer (normal, offset) of the hyperplane through a facet.
-
-    The facet consists of d affinely independent integer points in R^d, so
-    its affine hull is a genuine hyperplane; the normal spans the nullspace
-    of the (d-1) x d difference matrix.  One fraction-free elimination pass
-    finds the pivot structure, then a short exact back-substitution builds
-    the normal.
-    """
-    base = ipts[facet[0]]
-    d = len(base)
-    rows = [[ipts[idx][j] - base[j] for j in range(d)] for idx in facet[1:]]
-    m = len(rows)
-    piv_cols = []
-    prev = 1
-    r = 0
-    for c in range(d):
-        if r == m:
-            break
-        pr = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        row_r = rows[r]
-        for i in range(r + 1, m):
-            fi = rows[i][c]
-            row_i = rows[i]
-            for j in range(c + 1, d):
-                row_i[j] = (row_i[j] * piv - fi * row_r[j]) // prev
-            row_i[c] = 0
-        prev = piv
-        piv_cols.append(c)
-        r += 1
-    if r != m:
-        raise ValueError("facet points are not affinely independent")
-    free = next(c for c in range(d) if c not in piv_cols)
-    # Seeding the free coordinate with the last pivot (the pivot-column
-    # minor) makes every component a signed maximal minor, so the
-    # back-substitution divisions are exact and stay in the integers.
-    normal = [0] * d
-    normal[free] = prev
-    for k in range(m - 1, -1, -1):
-        c = piv_cols[k]
-        acc = sum(rows[k][j] * normal[j] for j in range(c + 1, d) if normal[j])
-        quot, rem = divmod(-acc, rows[k][c])
-        if rem:
-            raise AssertionError("inexact division in facet normal")
-        normal[c] = quot
-    int_normal = _primitive(normal)
-    offset = sum(a * b for a, b in zip(int_normal, base))
-    return tuple(int_normal), offset
 
 
 def triangulate(vp: VPolytope, *, allow_big: bool = False) -> Triangulation:
@@ -209,9 +93,9 @@ def triangulate(vp: VPolytope, *, allow_big: bool = False) -> Triangulation:
 
     # Greedy seed: first point plus points extending the affine rank.
     seed = [0]
-    diffs: list[list[Fraction]] = []
+    diffs: list[list[int]] = []
     for i in range(1, len(pts)):
-        cand = [Fraction(ipts[i][j] - ipts[0][j]) for j in range(d)]
+        cand = [a - b for a, b in zip(ipts[i], ipts[0])]
         if matrix_rank(diffs + [cand]) > len(diffs):
             diffs.append(cand)
             seed.append(i)
@@ -221,27 +105,31 @@ def triangulate(vp: VPolytope, *, allow_big: bool = False) -> Triangulation:
         return Triangulation(vp, ())
 
     simplices: list[tuple[int, ...]] = []
-    # Boundary facets with outward-oriented hyperplanes.  A facet enters the
-    # boundary when its first owning simplex appears and leaves for good when
-    # a second one covers it, so the orientation never needs updating.
+    # Boundary facets with inward-oriented hyperplanes <normal, x> >= offset.
+    # A facet enters the boundary when its first owning simplex appears and
+    # leaves for good when a second one covers it, so the orientation never
+    # needs updating.
     boundary: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
 
     def add_simplex(simplex: tuple[int, ...]) -> None:
         simplices.append(simplex)
+        # Eliminating [M | I], M with rows (1, v), leaves (last pivot) * M^-1
+        # on the right.  Its column k is the affine functional of the facet
+        # opposite vertex k: zero on that facet, the last pivot at vertex k.
+        rows = [[1, *ipts[j]] + [int(i == r) for i in range(d + 1)]
+                for r, j in enumerate(simplex)]
+        pivots, last = bareiss(rows)
+        # [M | I] always has full rank; M has it when all pivots lie in M.
+        if pivots[-1] != d:
+            raise AssertionError("degenerate simplex in triangulation")
+        sign = 1 if last > 0 else -1
         for k in range(d + 1):
             facet = simplex[:k] + simplex[k + 1:]
             if facet in boundary:
                 del boundary[facet]
                 continue
-            normal, offset = _facet_hyperplane(ipts, facet)
-            opposite = simplex[k]
-            inner = sum(a * b for a, b in zip(normal, ipts[opposite]))
-            if inner > offset:
-                normal = tuple(-a for a in normal)
-                offset = -offset
-            elif inner == offset:
-                raise AssertionError("degenerate simplex in triangulation")
-            boundary[facet] = (normal, offset)
+            f = _primitive([sign * row[d + 1 + k] for row in rows])
+            boundary[facet] = (f[1:], -f[0])
 
     add_simplex(tuple(sorted(seed)))
     placed = set(seed)
@@ -252,7 +140,7 @@ def triangulate(vp: VPolytope, *, allow_big: bool = False) -> Triangulation:
         p = ipts[i]
         visible = [
             facet for facet, (normal, offset) in boundary.items()
-            if sum(a * b for a, b in zip(normal, p)) > offset
+            if sum(a * b for a, b in zip(normal, p)) < offset
         ]
         for facet in visible:
             add_simplex(tuple(sorted(facet + (i,))))
@@ -263,23 +151,17 @@ def triangulate(vp: VPolytope, *, allow_big: bool = False) -> Triangulation:
 
 def triangulation_lattice_volume(t: Triangulation) -> Fraction:
     """Sum of normalized simplex volumes: the Z^dim volume of the polytope."""
-    total = Fraction(0)
+    total = 0
     pts = t.polytope.vertices
     scale = _common_denominator(pts)
     ipts = [tuple(int(v * scale) for v in p) for p in pts]
     for simplex in t.simplices:
         base = ipts[simplex[0]]
-        rows = [[ipts[j][c] - base[c] for c in range(t.dim)]
-                for j in simplex[1:]]
-        total += Fraction(abs(_int_det(rows)), scale ** t.dim)
-    return total
-
-
-def euclidean_volume(vp: VPolytope, *, allow_big: bool = False) -> Fraction:
-    if vp.is_empty():
-        return Fraction(0)
-    return triangulation_lattice_volume(
-        triangulate(vp, allow_big=allow_big)) / math.factorial(vp.dim)
+        rows = [[a - b for a, b in zip(ipts[j], base)] for j in simplex[1:]]
+        pivots, last = bareiss(rows)
+        if len(pivots) == t.dim:
+            total += abs(last)
+    return Fraction(total, scale ** t.dim)
 
 
 def lattice_volume(vp: VPolytope, basis: LatticeBasis | None = None, *,

@@ -14,7 +14,6 @@ from clawvol.clawpoly import (
     cut_halfspace,
     facet_cuts,
     facets,
-    group_from_cli,
     lattice,
     model_lattice_index,
     s_coefficients,
@@ -171,9 +170,3 @@ def test_vertex_span_matches_explicit_lattice(group):
                 == lattice_index(combined))
     with pytest.raises(RankDeficientError):
         lattice_index(vertex_generators(group, 2))
-
-
-def test_group_from_cli():
-    assert group_from_cli("z2xz2") is Z2xZ2
-    with pytest.raises(ValueError):
-        group_from_cli("q8")

@@ -1,10 +1,15 @@
 """End-to-end command behavior: output bytes, exit codes, guard rails."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import clawvol
 from clawvol.cli import main
 from clawvol.serialize import loads
 
@@ -162,6 +167,19 @@ def test_guard_rail_exit_3_and_overrides(runner):
                     env={"CLAWVOL_OVERRIDE_GUARD": "1"})
     assert by_env.exit_code == 0
     assert by_env.stdout == by_flag.stdout
+
+
+def test_degree_beyond_default_digit_limit():
+    # A separate interpreter, so this process keeps its own digit limit.
+    src = str(Path(clawvol.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "clawvol.cli", "degree", "--group", "z2xz2",
+         "--n", "566"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert done.returncode == 0, done.stderr
+    digits = done.stdout.rstrip("\n")
+    assert digits.isdigit() and len(digits) > 4300
 
 
 def test_output_writes_file(runner, tmp_path):

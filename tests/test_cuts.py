@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from clawvol.clawpoly import subset_cut, tuple_cut
+from clawvol import cuts
+from clawvol.clawpoly import ambient, model_lattice_index, subset_cut, tuple_cut
 from clawvol.cuts import (
     LEMMA_GROUPS,
     LEMMA_IDS,
@@ -16,11 +17,12 @@ from clawvol.cuts import (
     lemma_claims,
     piece_volume,
     run_lemma,
-    union_closed_form,
     union_volume_by_regions,
 )
 from clawvol.formulas import degree_rational
+from clawvol.geometry import GuardRailError, vertex_enumeration
 from clawvol.groups import Z2, Z2xZ2, Z3
+from clawvol.volume import lattice_volume
 
 F = Fraction
 
@@ -60,7 +62,9 @@ def test_assemble_matches_formula_through_n_8():
     ids=("z2-2", "z2-3", "z3-2", "z2xz2-2"))
 def test_union_closed_form_matches_region_sweep(group, n):
     expected = {(Z2, 2): 2, (Z2, 3): 4, (Z3, 2): 6, (Z2xZ2, 2): 20}[(group, n)]
-    assert union_closed_form(group, n) == expected
+    ambient_volume = lattice_volume(vertex_enumeration(ambient(group, n)))
+    closed_form = ambient_volume - assemble(group, n) * model_lattice_index(group)
+    assert closed_form == expected
     assert union_volume_by_regions(group, n) == expected
 
 
@@ -139,6 +143,23 @@ def test_full_lemma_suite_at_n_2():
             assert r["lemma"] == lemma_id
             assert set(r) == {"lemma", "hypothesis", "expected", "computed",
                               "verdict"}
+
+
+def test_volume_claim_refused_on_dimension_before_vertex_enumeration(monkeypatch):
+    class Enumerated(Exception):
+        pass
+
+    def enumerate_vertices(hp):
+        raise Enumerated
+
+    monkeypatch.setattr(cuts, "vertex_enumeration", enumerate_vertices)
+    claim = lemma_claims("z3-single-cut-volume", 8)[0]
+    with pytest.raises(GuardRailError, match="dimension 16 exceeds 14"):
+        check_lemma(claim)
+    with pytest.raises(GuardRailError, match="dimension 16 exceeds 14"):
+        piece_volume(claim.spec)
+    with pytest.raises(Enumerated):
+        check_lemma(claim, allow_big=True)
 
 
 def test_unknown_lemma_rejected():

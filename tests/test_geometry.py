@@ -3,7 +3,8 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from clawvol.geometry import (
@@ -14,6 +15,7 @@ from clawvol.geometry import (
     UnboundedError,
     VPolytope,
     affine_dim,
+    bareiss,
     canonicalize,
     lattice_index,
     matrix_rank,
@@ -124,6 +126,60 @@ def test_matrix_rank():
     assert matrix_rank([]) == 0
     assert matrix_rank([[F(1), F(2)], [F(2), F(4)]]) == 1
     assert matrix_rank([[F(1), F(0)], [F(1), F(1)]]) == 2
+
+
+@st.composite
+def int_matrices(draw, square=False, degenerate=True):
+    """Small integer matrices; with ``degenerate``, rows are often replaced by
+    a zero row, a copy of another row, or a combination of two others."""
+    ncols = draw(st.integers(1, 5))
+    nrows = ncols if square else draw(st.integers(1, 6))
+    entry = st.integers(-4, 4)
+    rows = [draw(st.lists(entry, min_size=ncols, max_size=ncols))
+            for _ in range(nrows)]
+    if degenerate:
+        for i in range(nrows):
+            kind = draw(st.sampled_from(("keep", "keep", "zero", "copy", "combo")))
+            j = draw(st.integers(0, nrows - 1))
+            k = draw(st.integers(0, nrows - 1))
+            if kind == "zero":
+                rows[i] = [0] * ncols
+            elif kind == "copy":
+                rows[i] = list(rows[j])
+            elif kind == "combo":
+                a, b = draw(entry), draw(entry)
+                rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrices())
+def test_bareiss_rank_matches_sympy(rows):
+    expected = sympy.Matrix(rows).rank()
+    assert len(bareiss([r[:] for r in rows])[0]) == expected
+    assert matrix_rank([[F(v, 3) for v in r] for r in rows]) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrices(square=True))
+def test_bareiss_determinant_matches_sympy(rows):
+    pivots, last = bareiss([r[:] for r in rows])
+    det = abs(last) if len(pivots) == len(rows) else 0
+    assert det == abs(sympy.Matrix(rows).det())
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrices(square=True, degenerate=False))
+def test_bareiss_on_augmented_identity_gives_scaled_inverse(rows):
+    m = sympy.Matrix(rows)
+    assume(m.det() != 0)
+    size = len(rows)
+    work = [r + [int(i == j) for i in range(size)] for j, r in enumerate(rows)]
+    pivots, last = bareiss(work)
+    assert pivots == list(range(size))
+    right = sympy.Matrix([r[size:] for r in work])
+    assert m * right == last * sympy.eye(size)
+    assert abs(last) == abs(m.det())
 
 
 def test_canonicalize_drops_non_extreme_points():

@@ -9,7 +9,6 @@ from clawvol.groups import GROUPS
 from clawvol.serialize import (
     FormatError,
     doc_to_hpolytope,
-    doc_to_triangulation,
     doc_to_vpolytope,
     dumps,
     hpolytope_to_doc,
@@ -18,12 +17,10 @@ from clawvol.serialize import (
     read_ext,
     read_ine,
     str_to_rat,
-    triangulation_to_doc,
     vpolytope_to_doc,
     write_ext,
     write_ine,
 )
-from clawvol.volume import triangulate
 
 F = Fraction
 
@@ -46,12 +43,8 @@ def test_rational_strings():
 def test_json_round_trips(group, n):
     vp = vertices(group, n)
     hp = facets(group, n)
-    tri = triangulate(vp)
-
     assert doc_to_vpolytope(loads(dumps(vpolytope_to_doc(vp)))) == vp
     assert doc_to_hpolytope(loads(dumps(hpolytope_to_doc(hp)))) == hp
-    t2 = doc_to_triangulation(loads(dumps(triangulation_to_doc(tri))))
-    assert t2 == tri
 
 
 def test_json_text_is_canonical():

@@ -7,16 +7,14 @@ from math import factorial
 
 import pytest
 
+from clawvol.clawpoly import vertices
 from clawvol.geometry import GuardRailError, VPolytope
+from clawvol.groups import GROUPS
 from clawvol.volume import (
-    Simplex,
     Triangulation,
-    euclidean_volume,
     join_product,
     join_product_many,
     lattice_volume,
-    simplex_lattice_volume,
-    simplex_volume,
     triangulate,
     triangulation_lattice_volume,
 )
@@ -35,28 +33,24 @@ def cube(d):
 
 
 def test_simplex_volumes():
-    unit = Simplex(2, (pt(0, 0), pt(1, 0), pt(0, 1)))
-    assert simplex_lattice_volume(unit) == 1
-    assert simplex_volume(unit) == F(1, 2)
-    flat = Simplex(2, (pt(0, 0), pt(1, 1), pt(2, 2)))
-    assert flat.is_degenerate() and simplex_lattice_volume(flat) == 0
-    scaled = Simplex(1, (pt(F(1, 3)), pt(F(5, 6))))
-    assert simplex_lattice_volume(scaled) == F(1, 2)
-    with pytest.raises(ValueError):
-        Simplex(2, (pt(0, 0), pt(1, 0)))
+    assert lattice_volume(VPolytope(2, (pt(0, 0), pt(1, 0), pt(0, 1)))) == 1
+    assert lattice_volume(VPolytope(2, (pt(0, 0), pt(1, 1), pt(2, 2)))) == 0
+    assert lattice_volume(VPolytope(1, (pt(F(1, 3)), pt(F(5, 6))))) == F(1, 2)
+    scaled = VPolytope(3, (pt(0, 0, 0), pt(2, 0, 0), pt(0, 3, 0),
+                           pt(F(1, 2), F(1, 2), F(5, 2))))
+    assert lattice_volume(scaled) == 15
 
 
 def test_cube_volumes():
     for d in (1, 2, 3):
         assert lattice_volume(cube(d)) == factorial(d)
-        assert euclidean_volume(cube(d)) == 1
 
 
 def test_triangulate_square():
     t = triangulate(cube(2))
     assert len(t.simplices) == 2
     assert triangulation_lattice_volume(t) == 2
-    assert {s.dim for s in t.all_simplices()} == {2}
+    assert {len(s) for s in t.simplices} == {3}
 
 
 def test_triangulate_flat_or_small_inputs():
@@ -129,5 +123,13 @@ def test_join_product_random_instances():
 def test_triangulation_accessors():
     t = triangulate(cube(2))
     assert t.dim == 2
-    assert t.simplex(0).points[0] in cube(2).vertices
+    assert {j for s in t.simplices for j in s} == set(range(4))
     assert Triangulation(cube(2), t.simplices).polytope == cube(2)
+
+
+@pytest.mark.parametrize("group,n,count", [
+    ("z2", 6, 344), ("z2", 7, 2487), ("z3", 3, 9), ("z3", 4, 660),
+    ("z2xz2", 3, 95),
+], ids=("z2-6", "z2-7", "z3-3", "z3-4", "z2xz2-3"))
+def test_claw_simplex_counts_frozen(group, n, count):
+    assert len(triangulate(vertices(GROUPS[group], n)).simplices) == count
