@@ -279,9 +279,11 @@ def bareiss(rows: list[list[int]]) -> tuple[list[int], int]:
     Returns the pivot columns and the last pivot (1 when there is none).
     Every entry stays a minor of the input (Bareiss 1968), so each division
     is exact.  Consequences the callers rely on: the rank is the number of
-    pivots; a square matrix of full rank has determinant +-(last pivot);
-    and eliminating ``[M | I]`` for a nonsingular M leaves (last pivot) *
-    M^-1, the adjugate up to sign, in the right block.
+    pivots, and the pivot columns are the first columns that are independent
+    of the ones before them; a square matrix of full rank has determinant
+    +-(last pivot); and eliminating ``[B | I]``, B of full row rank, leaves
+    (last pivot) * M^-1 in the right block, M the square matrix of B's
+    pivot columns, so its determinant is +-(last pivot) too.
     """
     m = len(rows)
     ncols = len(rows[0]) if rows else 0

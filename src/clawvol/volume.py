@@ -4,9 +4,28 @@ The triangulation strategy is fixed: vertices are taken in their canonical
 lexicographic order, a first full-dimensional simplex is built greedily, and
 every later point is attached by coning over the boundary facets it can see
 strictly.  Ties never arise because insertion order is the total lex order.
-Points are scaled to a common denominator, and one fraction-free kernel
-(``geometry.bareiss``) supplies every rank, determinant and facet
-functional, so results are exact.
+Points are scaled to a common denominator and all arithmetic is on
+integers, so results are exact.
+
+The volume is summed while the simplices are built, beneath-beyond style
+(Büeler, Enge and Fukuda 2000).  Each boundary facet F keeps a primitive
+inward affine functional h_F, its base volume g_F (its normalized volume in
+the lattice of its hyperplane) and its neighbours across its ridges.  Then:
+
+* a point p that sees F strictly adds the simplex F + p, a pyramid of
+  normalized volume vol(F + p) = g_F * (-h_F(p)), the lattice height of p
+  over F times the base;
+* the new facets are R + p for each ridge R between a visible F and a hidden
+  neighbour G.  Their functional is the primitive part of
+  h_G(p) * h_F - h_F(p) * h_G, which vanishes on R and at p, and their base
+  volume is vol(F + p) / h_{R+p}(v), v the vertex of F off R;
+* the visible facets are connected across ridges, so once one is known
+  the others are found through neighbours.
+
+Only the seed simplex is eliminated (``geometry.bareiss``): its adjugate
+gives the first d + 1 functionals and base volumes.  Any break of these
+invariants (a height that is not positive, a base volume that is not an
+integer, an unpaired ridge) raises ``AssertionError``.
 
 Volume convention: ``lattice_volume`` in a lattice L of index k inside Z^d
 is ``d! * euclidean volume / k``; a polytope of deficient affine dimension
@@ -18,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .geometry import (
@@ -28,7 +48,6 @@ from .geometry import (
     _primitive,
     bareiss,
     lattice_index,
-    matrix_rank,
 )
 
 MAX_DIM = 14
@@ -37,14 +56,38 @@ MAX_VERTICES = 200
 
 @dataclass(frozen=True)
 class Triangulation:
-    """Simplices, as vertex-index tuples into the base polytope's vertices."""
+    """Simplices, as vertex-index tuples into the base polytope's vertices.
+
+    ``volume`` is the normalized Z^dim volume the simplices add up to.
+    """
 
     polytope: VPolytope
     simplices: tuple[tuple[int, ...], ...]
+    volume: Fraction
 
     @property
     def dim(self) -> int:
         return self.polytope.dim
+
+
+class _Facet:
+    """A boundary facet: vertex tuple, inward functional, base volume, neighbours.
+
+    The functional ``<normal, x> - offset`` is primitive, zero on the facet
+    and positive inside.  ``base`` is the facet's normalized volume in the
+    lattice of its hyperplane, and ``nbrs[j]`` is the facet across the ridge
+    that omits ``key[j]``.  ``seen`` is the last point that saw the facet.
+    """
+
+    __slots__ = ("key", "normal", "offset", "base", "nbrs", "seen")
+
+    def __init__(self, key, normal, offset, base):
+        self.key = key
+        self.normal = normal
+        self.offset = offset
+        self.base = base
+        self.nbrs = [None] * len(key)
+        self.seen = -1
 
 
 def _common_denominator(points: Sequence[Point]) -> int:
@@ -74,8 +117,31 @@ def _check_guard(vp: VPolytope, allow_big: bool) -> None:
             f"{MAX_VERTICES} (pass the override to force)")
 
 
+def _mark_visible(p: tuple[int, ...], i: int, start: list[_Facet]) -> None:
+    """Mark with i every boundary facet that p sees strictly.
+
+    ``start`` must hold one of them.  They are connected across ridges, so a
+    search through neighbours finds the rest.
+    """
+    todo = [f for f in start if sum(map(mul, f.normal, p)) < f.offset]
+    if not todo:
+        raise AssertionError("no facet through the last point is visible")
+    for f in todo:
+        f.seen = i
+    hidden = set()
+    while todo:
+        for g in todo.pop().nbrs:
+            if g.seen == i or g in hidden:
+                continue
+            if sum(map(mul, g.normal, p)) < g.offset:
+                g.seen = i
+                todo.append(g)
+            else:
+                hidden.add(g)
+
+
 def triangulate(vp: VPolytope, *, allow_big: bool = False) -> Triangulation:
-    """Deterministic placing triangulation of a V-polytope.
+    """Deterministic placing triangulation of a V-polytope, with its volume.
 
     Points are inserted in lexicographic order after a greedy full-dimensional
     seed simplex; each insertion cones the new point over the strictly visible
@@ -85,83 +151,116 @@ def triangulate(vp: VPolytope, *, allow_big: bool = False) -> Triangulation:
     _check_guard(vp, allow_big)
     pts = vp.vertices
     d = vp.dim
-    if len(pts) < d + 1:
-        return Triangulation(vp, ())
+    count = len(pts)
+    if count < d + 1:
+        return Triangulation(vp, (), Fraction(0))
 
     scale = _common_denominator(pts)
     ipts = [tuple(int(v * scale) for v in p) for p in pts]
 
-    # Greedy seed: first point plus points extending the affine rank.
-    seed = [0]
-    diffs: list[list[int]] = []
-    for i in range(1, len(pts)):
-        cand = [a - b for a, b in zip(ipts[i], ipts[0])]
-        if matrix_rank(diffs + [cand]) > len(diffs):
-            diffs.append(cand)
-            seed.append(i)
-            if len(seed) == d + 1:
-                break
-    if len(seed) < d + 1:
-        return Triangulation(vp, ())
+    # Eliminate [B | I], B with columns (1, v).  B's pivot columns are the
+    # greedy seed: the first point and each point that extends the affine
+    # rank of the ones before it.  [B | I] always has full rank; B has it
+    # when all pivots lie in B.  Then the right block is (last pivot) * M^-T,
+    # M with the seed's rows (1, v), so its row k is the affine functional
+    # of the seed facet opposite vertex k: zero on that facet, |det M| at
+    # vertex k.  The gcd divided out of it is the facet's base volume.
+    rows = [[1] * count, *map(list, zip(*ipts))]
+    for r, row in enumerate(rows):
+        row.extend(int(c == r) for c in range(d + 1))
+    pivots, last = bareiss(rows)
+    if pivots[-1] >= count:
+        return Triangulation(vp, (), Fraction(0))
 
-    simplices: list[tuple[int, ...]] = []
-    # Boundary facets with inward-oriented hyperplanes <normal, x> >= offset.
-    # A facet enters the boundary when its first owning simplex appears and
-    # leaves for good when a second one covers it, so the orientation never
-    # needs updating.
-    boundary: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
+    seed = tuple(pivots)
+    sign = 1 if last > 0 else -1
+    total = abs(last)
+    simplices = [seed]
+    # Boundary facets in creation order.  A facet enters the boundary with
+    # its first owning simplex and leaves for good when a second one covers
+    # it, so its orientation never changes.
+    boundary: dict[tuple[int, ...], _Facet] = {}
+    for k in range(d + 1):
+        adj = [sign * v for v in rows[k][count:]]
+        g = math.gcd(*adj)
+        key = seed[:k] + seed[k + 1:]
+        boundary[key] = _Facet(key, tuple(v // g for v in adj[1:]), -adj[0] // g, g)
+    fresh = list(boundary.values())
+    for k, f in enumerate(fresh):
+        f.nbrs = [fresh[j if j < k else j + 1] for j in range(d)]
 
-    def add_simplex(simplex: tuple[int, ...]) -> None:
-        simplices.append(simplex)
-        # Eliminating [M | I], M with rows (1, v), leaves (last pivot) * M^-1
-        # on the right.  Its column k is the affine functional of the facet
-        # opposite vertex k: zero on that facet, the last pivot at vertex k.
-        rows = [[1, *ipts[j]] + [int(i == r) for i in range(d + 1)]
-                for r, j in enumerate(simplex)]
-        pivots, last = bareiss(rows)
-        # [M | I] always has full rank; M has it when all pivots lie in M.
-        if pivots[-1] != d:
-            raise AssertionError("degenerate simplex in triangulation")
-        sign = 1 if last > 0 else -1
-        for k in range(d + 1):
-            facet = simplex[:k] + simplex[k + 1:]
-            if facet in boundary:
-                del boundary[facet]
-                continue
-            f = _primitive([sign * row[d + 1 + k] for row in rows])
-            boundary[facet] = (f[1:], -f[0])
-
-    add_simplex(tuple(sorted(seed)))
-    placed = set(seed)
-
-    for i in range(len(pts)):
-        if i in placed:
+    bits = [1 << j for j in range(count)]
+    for i in range(count):
+        if i in seed:
             continue
         p = ipts[i]
-        visible = [
-            facet for facet, (normal, offset) in boundary.items()
-            if sum(a * b for a, b in zip(normal, p)) < offset
-        ]
-        for facet in visible:
-            add_simplex(tuple(sorted(facet + (i,))))
-        placed.add(i)
+        if i > seed[-1] + 1:
+            # p is lex-larger than every placed point, so it sees a facet
+            # through the lex-largest one, point i - 1: a facet made in the
+            # last round.
+            _mark_visible(p, i, fresh)
+        else:
+            for f in boundary.values():
+                if sum(map(mul, f.normal, p)) < f.offset:
+                    f.seen = i
+        visible = [f for f in boundary.values() if f.seen == i]
+        fresh = []
+        # Ridges through p that one new facet has and its neighbour-to-be
+        # has not yet claimed, keyed by the bitmask of their other vertices.
+        open_ridges: dict[int, tuple[_Facet, int]] = {}
+        for f in visible:
+            # The pyramid over f with apex p.
+            hf = sum(map(mul, f.normal, p)) - f.offset
+            vol = -hf * f.base
+            total += vol
+            simplices.append(tuple(sorted(f.key + (i,))))
+            del boundary[f.key]
+            mask = sum(map(bits.__getitem__, f.key))
+            for j, g in enumerate(f.nbrs):
+                if g.seen == i:
+                    continue
+                # The ridge between f and the hidden g is on the horizon:
+                # cone it to p.  The combination of the two functionals that
+                # vanishes at p is the new one, and f + p is a pyramid over
+                # the new facet with apex f.key[j], which gives its base.
+                hg = sum(map(mul, g.normal, p)) - g.offset
+                h = _primitive([hg * a - hf * b for a, b in zip(f.normal, g.normal)]
+                               + [hg * f.offset - hf * g.offset])
+                normal, offset = h[:-1], h[-1]
+                height = sum(map(mul, normal, ipts[f.key[j]])) - offset
+                if height <= 0 or vol % height:
+                    raise AssertionError("degenerate simplex in triangulation")
+                key = tuple(sorted(f.key[:j] + f.key[j + 1:] + (i,)))
+                new = _Facet(key, normal, offset, vol // height)
+                boundary[key] = new
+                fresh.append(new)
+                new.nbrs[key.index(i)] = g
+                g.nbrs[g.nbrs.index(f)] = new
+                ridge = mask ^ bits[f.key[j]]
+                for m, u in enumerate(key):
+                    if u == i:
+                        continue
+                    rest = ridge ^ bits[u]
+                    mate = open_ridges.pop(rest, None)
+                    if mate is None:
+                        open_ridges[rest] = (new, m)
+                    else:
+                        other, slot = mate
+                        other.nbrs[slot] = new
+                        new.nbrs[m] = other
+        if open_ridges:
+            raise AssertionError("unpaired ridge in triangulation")
+        for f in visible:
+            f.nbrs = None  # drop the cycles among removed facets
+    for f in boundary.values():
+        f.nbrs = None  # and among the rest, so no garbage outlives the call
 
-    return Triangulation(vp, tuple(simplices))
+    return Triangulation(vp, tuple(simplices), Fraction(total, scale ** d))
 
 
 def triangulation_lattice_volume(t: Triangulation) -> Fraction:
     """Sum of normalized simplex volumes: the Z^dim volume of the polytope."""
-    total = 0
-    pts = t.polytope.vertices
-    scale = _common_denominator(pts)
-    ipts = [tuple(int(v * scale) for v in p) for p in pts]
-    for simplex in t.simplices:
-        base = ipts[simplex[0]]
-        rows = [[a - b for a, b in zip(ipts[j], base)] for j in simplex[1:]]
-        pivots, last = bareiss(rows)
-        if len(pivots) == t.dim:
-            total += abs(last)
-    return Fraction(total, scale ** t.dim)
+    return t.volume
 
 
 def lattice_volume(vp: VPolytope, basis: LatticeBasis | None = None, *,

@@ -182,6 +182,21 @@ def test_bareiss_on_augmented_identity_gives_scaled_inverse(rows):
     assert abs(last) == abs(m.det())
 
 
+@settings(max_examples=200, deadline=None)
+@given(int_matrices())
+def test_bareiss_pivots_are_greedy_and_right_block_inverts_them(rows):
+    m = sympy.Matrix(rows)
+    nrows, ncols = m.shape
+    work = [r + [int(i == j) for i in range(nrows)] for j, r in enumerate(rows)]
+    pivots, last = bareiss(work)
+    ranks = [0] + [m[:, :c + 1].rank() for c in range(ncols)]
+    assert [c for c in pivots if c < ncols] == [
+        c for c in range(ncols) if ranks[c + 1] > ranks[c]]
+    if pivots[-1] < ncols:
+        right = sympy.Matrix([r[ncols:] for r in work])
+        assert m[:, pivots] * right == last * sympy.eye(nrows)
+
+
 def test_canonicalize_drops_non_extreme_points():
     vp = VPolytope(2, (pt(0, 0), pt(2, 0), pt(0, 2), pt(2, 2),
                        pt(1, 1), pt(1, 0)))

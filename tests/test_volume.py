@@ -1,14 +1,18 @@
 """Triangulation, exact volumes, guard rails, and free sums."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clawvol.clawpoly import vertices
-from clawvol.geometry import GuardRailError, VPolytope
+from clawvol.cuts import lemma_claims, piece_vertices
+from clawvol.geometry import GuardRailError, VPolytope, affine_dim, bareiss
 from clawvol.groups import GROUPS
 from clawvol.volume import (
     Triangulation,
@@ -124,12 +128,97 @@ def test_triangulation_accessors():
     t = triangulate(cube(2))
     assert t.dim == 2
     assert {j for s in t.simplices for j in s} == set(range(4))
-    assert Triangulation(cube(2), t.simplices).polytope == cube(2)
+    assert t.volume == 2
+    assert Triangulation(cube(2), t.simplices, t.volume).polytope == cube(2)
 
 
-@pytest.mark.parametrize("group,n,count", [
-    ("z2", 6, 344), ("z2", 7, 2487), ("z3", 3, 9), ("z3", 4, 660),
-    ("z2xz2", 3, 95),
-], ids=("z2-6", "z2-7", "z3-3", "z3-4", "z2xz2-3"))
-def test_claw_simplex_counts_frozen(group, n, count):
-    assert len(triangulate(vertices(GROUPS[group], n)).simplices) == count
+CROSS_PAIR = "z2z2-cross-channel-pair-volume"
+
+
+# The simplex tuples themselves are pinned by the sha256 of their repr.
+@pytest.mark.parametrize("group,n,piece,count,digest", [
+    ("z2", 6, None, 344, "06391087786b1852d6068e4cac04e519be54b5914b33932e1dca6eb8acd56e77"),
+    ("z2", 7, None, 2487, "d71b75ceeca8212ae1d1d611508535a35c8f05a04ced794ae201d61c457bddbe"),
+    ("z3", 3, None, 9, "7df8c050efd9c913cfdc10be8e915b3ff9a8e7f8641c5ef6c592eb5bff6e4455"),
+    ("z3", 4, None, 660, "9395687eac8cf7b54bde0ef56902a7b9fcef0199b2be2e6f272e87dbb6ad0aa0"),
+    ("z2xz2", 3, None, 95, "47a34b354a5f3d1ac96c0193ccb4674d642ede1c05f4066b61c381ffb35c7f72"),
+    # Pieces of the cross-channel pair claim at n=3, by claim index.
+    ("z2xz2", 3, 0, 234, "da892a38141615c450fc5ddc8bba7c6ddc93b542657c217927a38d68c643caee"),
+    ("z2xz2", 3, 20, 202, "4e526b9c0945bd9a822032ffe0419cd49554767304e4778c3f0d9c1c61e610f9"),
+    ("z2xz2", 3, 40, 140, "72387683fde5ca3737b011ed1132be88373b5b45a528ff29a2f64c86c56b122f"),
+    ("z2xz2", 3, 60, 194, "5b95203d254049b4e42c8f74e42b380e713fba8da1c1ee18a7aa04b7eb0c52f9"),
+    ("z2xz2", 3, 80, 227, "09884999b8448df2833797bd0d35e682b65ea99ea0969401f5f9a3ddc69f7316"),
+    ("z2xz2", 3, 100, 237, "5fe274139f21906c8d4d3bebf283253e7d85464ed0929437201e6a5944c21287"),
+    ("z2xz2", 3, 120, 239, "3a9326534544d7f2350ed5858160c8d4433ceeff00fefca1dd2cd50754f37000"),
+    ("z2xz2", 3, 140, 237, "cdc2a0a3f43f7bcb7144ca523e888455043dbc9b29eba756ea32360dd12ee333"),
+    ("z2xz2", 3, 160, 252, "2ffdcd316c17a04f3970421775d5297173eecea1eb7a70f2a54675f1c5e6c412"),
+    ("z2xz2", 3, 180, 227, "875340119a21a582df19917c3cce71eeb2294785ad642ee3c4f7df58b304759e"),
+], ids=("z2-6", "z2-7", "z3-3", "z3-4", "z2xz2-3",
+        *(f"cross-pair-3-{k}" for k in range(0, 200, 20))))
+def test_claw_simplex_counts_frozen(group, n, piece, count, digest):
+    if piece is None:
+        vp = vertices(GROUPS[group], n)
+    else:
+        vp = piece_vertices(lemma_claims(CROSS_PAIR, n)[piece].spec)
+    simplices = triangulate(vp).simplices
+    assert len(simplices) == count
+    assert hashlib.sha256(repr(simplices).encode()).hexdigest() == digest
+
+
+@st.composite
+def point_sets(draw):
+    """Small point sets in R^1..R^5 with fractional coordinates, often with
+    coordinates in {0, 1} (many coplanar points), duplicates and midpoints."""
+    d = draw(st.integers(1, 5))
+    coord = st.one_of(st.integers(0, 1).map(F),
+                      st.fractions(-2, 2, max_denominator=3))
+    pts = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=d + 6))
+    for _ in range(draw(st.integers(0, 3))):
+        a = draw(st.sampled_from(pts))
+        b = draw(st.sampled_from(pts))
+        pts.append(draw(st.sampled_from((a, tuple((x + y) / 2 for x, y in zip(a, b))))))
+    return VPolytope(d, tuple(pts))
+
+
+@st.composite
+def unimodular_maps(draw, d):
+    """An integer matrix of determinant +-1 and an integer translation."""
+    rows = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(draw(st.integers(0, 6))):
+        a, b = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        k = draw(st.integers(-2, 2))
+        if a != b:
+            rows[b] = [x + k * y for x, y in zip(rows[b], rows[a])]
+        else:
+            rows[a] = [-x for x in rows[a]]
+    shift = draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
+    return rows, shift
+
+
+def determinant_sum(t):
+    """Sum of |det(v_i - v_0)| over the simplices, one elimination each."""
+    pts = t.polytope.vertices
+    scale = lcm(*(x.denominator for p in pts for x in p))
+    total = 0
+    for simplex in t.simplices:
+        base = pts[simplex[0]]
+        rows = [[int((a - b) * scale) for a, b in zip(pts[j], base)]
+                for j in simplex[1:]]
+        pivots, last = bareiss(rows)
+        assert len(pivots) == t.dim
+        total += abs(last)
+    return F(total, scale ** t.dim)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_triangulation_volume_matches_determinants_and_unimodular_image(data):
+    vp = data.draw(point_sets())
+    t = triangulate(vp)
+    assert t.volume == determinant_sum(t)
+    assert (t.volume > 0) == (affine_dim(vp.vertices) == vp.dim)
+    rows, shift = data.draw(unimodular_maps(vp.dim))
+    image = VPolytope(vp.dim, tuple(
+        tuple(sum(r * x for r, x in zip(row, p)) + s for row, s in zip(rows, shift))
+        for p in vp.vertices))
+    assert triangulate(image).volume == t.volume
