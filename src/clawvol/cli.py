@@ -18,7 +18,7 @@ from pathlib import Path
 
 import click
 
-from . import serialize
+from . import __version__, serialize
 from .clawpoly import facets as claw_facets
 from .clawpoly import model_lattice_index
 from .clawpoly import vertices as claw_vertices
@@ -72,7 +72,7 @@ _guard_option = click.option(
 
 
 @click.group()
-@click.version_option(package_name="clawvol")
+@click.version_option(version=__version__)
 @click.pass_context
 def main(ctx: click.Context) -> None:
     """Exact lattice volumes and degrees for claw-tree model polytopes."""

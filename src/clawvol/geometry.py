@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 Rat = Fraction
@@ -41,14 +42,12 @@ class GuardRailError(GeometryError):
 
 
 def _as_point(values: Iterable) -> Point:
-    return tuple(Fraction(v) for v in values)
+    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
 
 
 def _primitive(vec: Sequence[int]) -> tuple[int, ...]:
     """Divide an integer vector by the gcd of its entries, keeping signs."""
-    g = 0
-    for v in vec:
-        g = math.gcd(g, v)
+    g = math.gcd(*vec)
     if g <= 1:
         return tuple(vec)
     return tuple(v // g for v in vec)
@@ -56,10 +55,8 @@ def _primitive(vec: Sequence[int]) -> tuple[int, ...]:
 
 def _scaled_integers(values: Sequence[Fraction]) -> tuple[int, ...]:
     """Clear denominators of a rational vector, then reduce to primitive."""
-    lcm = 1
-    for v in values:
-        lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-    return _primitive([int(v * lcm) for v in values])
+    lcm = math.lcm(*(v.denominator for v in values))
+    return _primitive([v.numerator * (lcm // v.denominator) for v in values])
 
 
 @dataclass(frozen=True)
@@ -163,8 +160,14 @@ class VPolytope:
 def _dd_cone(rows: list[tuple[int, ...]], dim: int):
     """Extreme rays and lineality of ``{y : <row, y> >= 0 for all rows}``.
 
-    Pure integer double description.  Rays are primitive integer vectors;
-    each carries a bitmask of the constraints it satisfies with equality.
+    Pure integer double description: the rows, rays and lineality
+    generators are tuples of ints, every dot product and combination stays
+    in int, and no ``Fraction`` is built.  Rays are primitive integer
+    vectors; each carries a bitmask of the constraints it satisfies with
+    equality (its zero set).  A positive ray and a negative ray are
+    combined when they are adjacent, by the combinatorial test of Fukuda
+    and Prodon (1996): their common zero set is large enough for the
+    pointed part of the cone, and no third ray's zero set contains it.
     Returns ``(rays, zero_sets, lineality)``.
     """
     lineality: list[tuple[int, ...]] = [
@@ -175,7 +178,7 @@ def _dd_cone(rows: list[tuple[int, ...]], dim: int):
 
     for k, c in enumerate(rows):
         bit = 1 << k
-        lin_vals = [sum(ci * li for ci, li in zip(c, l)) for l in lineality]
+        lin_vals = [sum(map(mul, c, l)) for l in lineality]
         pivot = next((i for i, t in enumerate(lin_vals) if t != 0), None)
         if pivot is not None:
             # Case A: the new constraint cuts the lineality space.  One
@@ -193,7 +196,7 @@ def _dd_cone(rows: list[tuple[int, ...]], dim: int):
                                            for a, b in zip(l, lstar)]))
             new_rays = []
             for r in rays:
-                t = sum(ci * ri for ci, ri in zip(c, r))
+                t = sum(map(mul, c, r))
                 new_rays.append(_primitive([tstar * a - t * b
                                             for a, b in zip(r, lstar)]))
             lineality = new_lin
@@ -203,7 +206,7 @@ def _dd_cone(rows: list[tuple[int, ...]], dim: int):
 
         # Case B: constraint is orthogonal to the lineality space; split the
         # current rays and combine adjacent positive/negative pairs.
-        vals = [sum(ci * ri for ci, ri in zip(c, r)) for r in rays]
+        vals = [sum(map(mul, c, r)) for r in rays]
         if all(v >= 0 for v in vals):
             zsets = [z | bit if v == 0 else z for z, v in zip(zsets, vals)]
             continue
@@ -217,7 +220,7 @@ def _dd_cone(rows: list[tuple[int, ...]], dim: int):
             implicit &= z
         # A pair of adjacent extreme rays shares at least (pointed cone
         # dimension - 2) tight constraints beyond the implicit equalities.
-        needed = dim - len(lineality) - 2 - bin(implicit & (bit - 1)).count("1")
+        needed = dim - len(lineality) - 2 - (implicit & (bit - 1)).bit_count()
 
         new_rays = []
         new_zsets = []
@@ -227,10 +230,9 @@ def _dd_cone(rows: list[tuple[int, ...]], dim: int):
                 common = zp & zsets[im]
                 if common.bit_count() < needed:
                     continue
-                if any(
-                    j != ip and j != im and common & ~zsets[j] == 0
-                    for j in range(len(rays))
-                ):
+                # Adjacent iff no third ray is tight on all of common; rays
+                # ip and im are, so exactly two zero sets may contain it.
+                if [common & z for z in zsets].count(common) > 2:
                     continue
                 vp, vm = vals[ip], vals[im]
                 combo = [vp * a - vm * b for a, b in zip(rays[im], rays[ip])]
@@ -245,6 +247,15 @@ def _dd_cone(rows: list[tuple[int, ...]], dim: int):
     return rays, zsets, lineality
 
 
+def _cone_rows(hp: HPolytope) -> list[tuple[int, ...]]:
+    """Integer rows of the homogenized cone: y_0 >= 0 and b*y_0 - <a, y> >= 0."""
+    rows = [(1,) + (0,) * hp.dim]
+    for hs in hp.halfspaces:
+        coeffs = hs.integer_form()
+        rows.append((coeffs[-1],) + tuple(-a for a in coeffs[:-1]))
+    return rows
+
+
 def vertex_enumeration(hp: HPolytope) -> VPolytope:
     """Exact vertex set of a bounded ``HPolytope``.
 
@@ -253,12 +264,7 @@ def vertex_enumeration(hp: HPolytope) -> VPolytope:
     direction, so the two degenerate outcomes are never confused.
     """
     d = hp.dim
-    rows = [(1,) + (0,) * d]
-    for hs in hp.halfspaces:
-        coeffs = hs.integer_form()
-        rows.append((coeffs[-1],) + tuple(-a for a in coeffs[:-1]))
-
-    rays, _, lineality = _dd_cone(rows, d + 1)
+    rays, _, lineality = _dd_cone(_cone_rows(hp), d + 1)
     bounded_rays = [r for r in rays if r[0] > 0]
     if not bounded_rays:
         return VPolytope(d, ())

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -169,17 +170,35 @@ def test_guard_rail_exit_3_and_overrides(runner):
     assert by_env.stdout == by_flag.stdout
 
 
-def test_degree_beyond_default_digit_limit():
-    # A separate interpreter, so this process keeps its own digit limit.
+def run_cli_process(*args):
+    """Run the CLI in a separate interpreter from this checkout's sources."""
     src = str(Path(clawvol.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    done = subprocess.run(
-        [sys.executable, "-m", "clawvol.cli", "degree", "--group", "z2xz2",
-         "--n", "566"],
+    return subprocess.run(
+        [sys.executable, "-m", "clawvol.cli", *args],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_degree_beyond_default_digit_limit():
+    # A separate interpreter, so this process keeps its own digit limit.
+    done = run_cli_process("degree", "--group", "z2xz2", "--n", "566")
     assert done.returncode == 0, done.stderr
     digits = done.stdout.rstrip("\n")
     assert digits.isdigit() and len(digits) > 4300
+
+
+def test_version_without_installed_metadata():
+    # Run from the source tree: the version must not come from package metadata.
+    done = run_cli_process("--version")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.rstrip("\n").endswith("version 0.1.0")
+
+
+def test_pyproject_version_matches_package():
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    declared = re.search(r'^version = "([^"]+)"$',
+                         pyproject.read_text(encoding="utf-8"), re.M)
+    assert declared and declared.group(1) == clawvol.__version__
 
 
 def test_output_writes_file(runner, tmp_path):

@@ -1,5 +1,8 @@
 """Half-spaces, vertex enumeration, hull membership, lattice index."""
 
+import hashlib
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,6 +10,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from clawvol.cuts import cut_piece, lemma_claims
 from clawvol.geometry import (
     HPolytope,
     HalfSpace,
@@ -23,6 +27,7 @@ from clawvol.geometry import (
     vertex_enumeration,
     vh_consistent,
 )
+from clawvol.geometry import _cone_rows, _dd_cone, _primitive, _scaled_integers
 
 F = Fraction
 
@@ -241,3 +246,154 @@ def test_enumeration_of_random_boxes(ax, ay, bx, by):
     vp = vertex_enumeration(box((lo[0], hi[0]), (lo[1], hi[1])))
     corners = {(x, y) for x in (lo[0], hi[0]) for y in (lo[1], hi[1])}
     assert set(vp.vertices) == corners
+
+
+def brute_force_vertices(hp: HPolytope) -> tuple:
+    """Every feasible point where some dim of the constraints are tight and
+    independent, found by solving each dim-subset with Fraction elimination."""
+    found = set()
+    for subset in itertools.combinations(hp.halfspaces, hp.dim):
+        system = [list(h.normal) + [h.offset] for h in subset]
+        for c in range(hp.dim):
+            p = next((i for i in range(c, hp.dim) if system[i][c]), None)
+            if p is None:
+                break
+            system[c], system[p] = system[p], system[c]
+            system[c] = [v / system[c][c] for v in system[c]]
+            for i in range(hp.dim):
+                if i != c and system[i][c]:
+                    f = system[i][c]
+                    system[i] = [a - f * b for a, b in zip(system[i], system[c])]
+        else:
+            point = tuple(row[-1] for row in system)
+            if hp.contains(point):
+                found.add(point)
+    return tuple(sorted(found))
+
+
+@st.composite
+def boxed_polytopes(draw):
+    """A box in R^1..R^4 cut by random halfspaces near its center, with
+    duplicate (also rescaled) rows, zero rows, implicit equalities and
+    contradictions."""
+    d = draw(st.integers(1, 4))
+    halves = st.integers(-4, 4).map(lambda k: F(k, 2))
+    lo = [draw(halves) for _ in range(d)]
+    hi = [a + draw(st.integers(0, 4)) / 2 for a in lo]
+    center = [(a + b) / 2 for a, b in zip(lo, hi)]
+    rows = []
+    for i in range(d):
+        e = tuple(int(j == i) for j in range(d))
+        rows += [HalfSpace.of(tuple(-x for x in e), -lo[i]), HalfSpace.of(e, hi[i])]
+
+    def near_center():
+        a = draw(st.tuples(*[st.integers(-2, 2)] * d).filter(any))
+        return HalfSpace.of(a, sum(x * c for x, c in zip(a, center)) + draw(halves) / 2)
+
+    for _ in range(draw(st.integers(0, 2))):
+        rows.append(near_center())
+    for kind in draw(st.lists(st.sampled_from(
+            ("duplicate", "zero", "equality", "contradiction")), max_size=2)):
+        if kind == "duplicate":
+            h = draw(st.sampled_from(rows))
+            k = draw(st.sampled_from((F(1), F(2), F(1, 3))))
+            rows.append(HalfSpace(tuple(k * a for a in h.normal), k * h.offset))
+        elif kind == "zero":
+            rows.append(HalfSpace.of((0,) * d, draw(halves)))
+        elif kind == "equality":
+            h = near_center()
+            rows += [h, h.flipped()]
+        else:
+            h = near_center()
+            rows += [h, HalfSpace(h.flipped().normal, h.flipped().offset - 1)]
+    return HPolytope(d, tuple(draw(st.permutations(rows))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(boxed_polytopes())
+def test_enumeration_matches_brute_force(hp):
+    assert vertex_enumeration(hp).vertices == brute_force_vertices(hp)
+
+
+@pytest.mark.parametrize("hp", [
+    HPolytope(2, (HalfSpace.of((1, 0), 0),)),
+    HPolytope(2, (HalfSpace.of((-1, 0), 0), HalfSpace.of((1, 0), 1))),
+    HPolytope(3, tuple(HalfSpace.of(tuple(-int(i == j) for j in range(3)), 0)
+                       for i in range(3))),
+], ids=("halfspace", "strip", "orthant"))
+def test_enumerate_unbounded_examples(hp):
+    with pytest.raises(UnboundedError):
+        vertex_enumeration(hp)
+
+
+def loop_primitive(vec):
+    """The gcd loop ``_primitive`` used before it called ``math.gcd(*vec)``."""
+    g = 0
+    for v in vec:
+        g = math.gcd(g, v)
+    if g <= 1:
+        return tuple(vec)
+    return tuple(v // g for v in vec)
+
+
+def loop_scaled_integers(values):
+    """The lcm loop and per-entry Fraction product ``_scaled_integers`` used."""
+    lcm = 1
+    for v in values:
+        lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
+    return loop_primitive([int(v * lcm) for v in values])
+
+
+INTEGER_VECTORS = [(), (0,), (0, 0, 0), (7,), (-6,), (0, -4, 6), (-3, -9, 12),
+                   (2, 3, -5), (-1, 0, 0, 1)]
+RATIONAL_VECTORS = [(F(-3, 4),), (F(1, 2), F(1, 3), F(-5, 7)),
+                    (F(1, 6), F(5, 6), F(-7, 6)), (3, F(2, 9), F(-4, 3)),
+                    (F(0), F(-2, 5), 4), (F(4, 6), F(-8, 6), 2)]
+
+
+@pytest.mark.parametrize("vec", INTEGER_VECTORS)
+def test_primitive_matches_gcd_loop(vec):
+    assert _primitive(vec) == loop_primitive(vec)
+    assert _scaled_integers(vec) == loop_scaled_integers(vec)
+
+
+@pytest.mark.parametrize("vec", RATIONAL_VECTORS)
+def test_scaled_integers_matches_lcm_loop(vec):
+    assert _scaled_integers(vec) == loop_scaled_integers(vec)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.integers(-60, 60),
+                          st.fractions(-10, 10, max_denominator=12)), max_size=6))
+def test_integer_helpers_match_loops_on_random_vectors(values):
+    ints = [int(v) for v in values]
+    assert _primitive(ints) == loop_primitive(ints)
+    assert _scaled_integers(values) == loop_scaled_integers(values)
+
+
+# sha256 of repr(_dd_cone(rows, d + 1)) over every piece of each family, in
+# canonical claim order.  The digests were taken before the DD loops were
+# rewritten on ints; a change of ray order or zero sets changes them.
+FROZEN_DD = [
+    ("z2-same-parity-pair-flat", 4, 56, "83162d167b891a7218dc76f5cf6ea31b859b9f4c3a62ec555115989e04428536"),
+    ("z2z2-same-channel-pair-flat", 3, 36, "74bd37be2bd75a431ff9833361a234248eb09850ff9b518efcf5f60f268045b0"),
+    ("z2z2-cut-lattice-points", 3, 48, "09097c3fb080a20ce87734f2a1b1ead34c476e84a4b5ed6beebecd429a57921c"),
+    ("z3-far-same-channel-flat", 3, 54, "1cd55c08cefc7a89907b78a0eec094c4db508c3b61da29de528e5c64c1bffdfb"),
+    ("z3-near-same-channel-contained", 3, 54, "63aadabf6ea4961381236a60102b352ed06e6c9a35e8d6b0136d6a2330a49cbd"),
+    ("z3-cross-channel-flat", 3, 156, "3e69e6e757fe8d5a3d219dc6fe5eafe5639cb63d1341ae5eaab4830c9d2cbd04"),
+    ("z3-double-pair-flat", 3, 1296, "0bf8de2576a037c0155aa6d6825ee68a72ab7f940bb43ed4144be5cca67d28a7"),
+    ("z3-single-cut-volume", 3, 54, "131055a00362625a8f4d2d5637e981266117c12c060b4b0912818febb0c89771"),
+    ("z3-cross-channel-pair-volume", 3, 81, "a4802ad2180cb6cc3a25529e3276eeddf8e96c15acc8a05942e821048d0828c8"),
+]
+
+
+@pytest.mark.parametrize("lemma, n, pieces, digest", FROZEN_DD,
+                         ids=[lemma for lemma, *_ in FROZEN_DD])
+def test_dd_cone_output_frozen(lemma, n, pieces, digest):
+    claims = lemma_claims(lemma, n)
+    assert len(claims) == pieces
+    h = hashlib.sha256()
+    for claim in claims:
+        hp = cut_piece(claim.spec)
+        h.update(repr(_dd_cone(_cone_rows(hp), hp.dim + 1)).encode())
+    assert h.hexdigest() == digest
