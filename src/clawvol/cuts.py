@@ -44,6 +44,7 @@ from .formulas import (
     Z3_ONE_FACET,
     Z3_TWO_FACET,
     cut_formula,
+    pow2_quotient,
 )
 from .geometry import HPolytope, VPolytope, affine_dim, vertex_enumeration
 from .groups import Group, Z2, Z2xZ2, Z3
@@ -113,7 +114,7 @@ def assemble(group: Group, n: int) -> Fraction:
                  - 3 * 4 ** (n - 1) * cut_formula(Z22_TWO_FACET, n)
                  + n * 4 ** (n - 1) * (4 - Fraction(3, 2 ** (n - 1))))
     else:
-        box = Fraction(factorial(2 * n), 2 ** n)
+        box = Fraction(pow2_quotient(factorial(2 * n), n))
         union = (2 * 3 ** (n - 1) * cut_formula(Z3_ONE_FACET, n)
                  - n * 3 ** (n - 1) * cut_formula(Z3_TWO_FACET, n))
     return (box - union) / model_lattice_index(group)

@@ -1,8 +1,13 @@
 """Closed-form degree and cut-piece volume formulas, in exact arithmetic.
 
-Every formula is evaluated with ``fractions.Fraction``; the three degree
-formulas must come out integral and an assertion enforces that, so a
-transcription slip surfaces as a loud error instead of a wrong table.
+Quantities that are integers by construction are computed as ``int``:
+the Z2xZ2 alternating sum (one running product, no ``Fraction``) and the
+quotient (2n)!/2^n in the Z3 degree and Z3 assembly, which
+``pow2_quotient`` takes by a shift after checking that the low bits are
+zero.  Only the remaining small denominators reach ``fractions.Fraction``.
+``degree`` checks that each degree formula comes out integral and raises
+``FormulaError`` otherwise, so a transcription slip surfaces as a loud
+error instead of a wrong table.
 """
 
 from __future__ import annotations
@@ -40,12 +45,28 @@ def _check_n(n: int) -> None:
         raise ValueError(f"n must be >= 2, got {n}")
 
 
-def _alternating_factorial_sum(n: int) -> Fraction:
-    """sum over i of (-2)^i * C(n, i) * (3n)! / (2n+i)!."""
-    total = Fraction(0)
-    for i in range(n + 1):
-        total += Fraction((-2) ** i * comb(n, i) * factorial(3 * n),
-                          factorial(2 * n + i))
+def pow2_quotient(value: int, k: int) -> int:
+    """value / 2^k, which must be exact: a nonzero remainder raises."""
+    if value & ((1 << k) - 1):
+        raise FormulaError(f"division by 2^{k} is not exact")
+    return value >> k
+
+
+def _alternating_factorial_sum(n: int) -> int:
+    """sum over i of (-2)^i * C(n, i) * (3n)! / (2n+i)!.
+
+    Each term is an integer, since (3n)!/(2n+i)! is the falling product
+    (2n+i+1)...(3n).  Nested in Horner form,
+    c_0 (2n+1)...(3n) + c_1 (2n+2)...(3n) + ... + c_n with
+    c_i = (-2)^i C(n, i), the sum is one running product: multiply by
+    2n+i, then add c_i, for i = 1..n.  C(n, i) steps along as a running
+    integer too.
+    """
+    total = 1
+    binom = 1
+    for i in range(1, n + 1):
+        binom = binom * (n - i + 1) // i
+        total = total * (2 * n + i) + (-binom << i if i & 1 else binom << i)
     return total
 
 
@@ -55,9 +76,9 @@ def degree_rational(group: Group, n: int) -> Fraction:
     if group is Z2:
         return Fraction(factorial(n), 2) - Fraction(2) ** (n - 2)
     if group is Z3:
-        return (Fraction(factorial(2 * n), 3 * 2 ** n)
-                - Fraction(2) ** (n + 1) * Fraction(3) ** (n - 2)
-                + Fraction(3) ** (n - 1) * n)
+        return (Fraction(pow2_quotient(factorial(2 * n), n), 3)
+                - 2 ** (n + 1) * 3 ** (n - 2)
+                + 3 ** (n - 1) * n)
     return (Fraction(factorial(3 * n), 4 * 6 ** n)
             - 3 * Fraction(2) ** (n - 3) * _alternating_factorial_sum(n)
             + 3 * Fraction(4) ** (n - 2) * comb(2 * n, n)
@@ -96,7 +117,7 @@ def cut_formula(tag: str, n: int, extra=None) -> Fraction:
     if tag == Z2_CUT:
         return Fraction(1)
     if tag == Z22_ONE_FACET:
-        return _alternating_factorial_sum(n)
+        return Fraction(_alternating_factorial_sum(n))
     if tag == Z22_TWO_FACET:
         return comb(2 * n, n) - Fraction(n, 2 ** (n - 1))
     if tag == Z22_THREE_FACET:

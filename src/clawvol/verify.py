@@ -12,12 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .clawpoly import lattice, vertices
+from .clawpoly import ambient_dim, lattice, vertices
 from .cuts import assemble
 from .formulas import degree_rational
 from .groups import Group
 from .serialize import rat_to_str
-from .volume import lattice_volume
+from .volume import check_dimension_guard, lattice_volume
 
 FORMULA = "formula"
 INCLUSION_EXCLUSION = "inclusion-exclusion"
@@ -37,8 +37,10 @@ def degree_by_triangulation(group: Group, n: int, *,
                             allow_big: bool = False) -> Fraction:
     """Degree as the lattice volume of the actual polytope.
 
-    Exponential in n; the guard rails in the volume engine apply.
+    Exponential in n; the guard rails in the volume engine apply.  The
+    dimension guard runs before the |G|^(n-1) vertices are built.
     """
+    check_dimension_guard(ambient_dim(group, n), allow_big)
     return lattice_volume(vertices(group, n), lattice(group, n),
                           allow_big=allow_big)
 

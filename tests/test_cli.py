@@ -170,13 +170,14 @@ def test_guard_rail_exit_3_and_overrides(runner):
     assert by_env.stdout == by_flag.stdout
 
 
-def run_cli_process(*args):
+def run_cli_process(*args, timeout=None):
     """Run the CLI in a separate interpreter from this checkout's sources."""
     src = str(Path(clawvol.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "clawvol.cli", *args],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+        timeout=timeout)
 
 
 def test_degree_beyond_default_digit_limit():
@@ -185,6 +186,20 @@ def test_degree_beyond_default_digit_limit():
     assert done.returncode == 0, done.stderr
     digits = done.stdout.rstrip("\n")
     assert digits.isdigit() and len(digits) > 4300
+
+
+@pytest.mark.parametrize("args, dim", [
+    (("degree", "--group", "z3", "--n", "30", "--method", "triangulation"), 60),
+    (("verify", "--group", "z2", "--n", "40"), 40),
+], ids=["degree-z3-30", "verify-z2-40"])
+def test_triangulation_refused_before_vertices_are_built(args, dim):
+    # 3^29 and 2^39 vertices: building them first would never finish.
+    done = run_cli_process(*args, timeout=60)
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr == (
+        f"clawvol: error: guard-rail: triangulation refused: dimension {dim} "
+        "exceeds 14 (pass the override to force)\n")
 
 
 def test_version_without_installed_metadata():

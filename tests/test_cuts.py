@@ -50,9 +50,9 @@ def test_piece_volumes_frozen():
     assert piece_volume(z3_one) == 3
 
 
-def test_assemble_matches_formula_through_n_8():
+def test_assemble_matches_formula_through_n_40():
     for group in (Z2, Z2xZ2, Z3):
-        for n in range(2, 9):
+        for n in range(2, 41):
             assert assemble(group, n) == degree_rational(group, n)
 
 
