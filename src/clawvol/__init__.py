@@ -45,7 +45,6 @@ from .geometry import (
     VPolytope,
     affine_dim,
     lattice_index,
-    point_in_hull,
     vertex_enumeration,
     vh_consistent,
 )
@@ -81,8 +80,7 @@ __all__ = [
     "FORMULA_TAGS", "FormulaError", "cut_formula", "degree", "degree_table",
     "GeometryError", "GuardRailError", "HPolytope", "HalfSpace",
     "LatticeBasis", "RankDeficientError", "UnboundedError", "VPolytope",
-    "affine_dim", "lattice_index", "point_in_hull", "vertex_enumeration",
-    "vh_consistent",
+    "affine_dim", "lattice_index", "vertex_enumeration", "vh_consistent",
     "GROUPS", "Group", "SymmetryAction", "Z2", "Z2xZ2", "Z3",
     "apply_action", "group_by_name", "random_action", "zero_sum_tuples",
     "METHODS", "degree_by_method", "verify_degree",

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .geometry import HalfSpace, HPolytope, LatticeBasis, VPolytope
 from .groups import Group, Z2, Z2xZ2, Z3, zero_sum_tuples
@@ -132,16 +131,6 @@ def s_coefficients(cut: OddSubsetCut) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def s_value(cut: OddSubsetCut, point: Sequence) -> Fraction:
-    """Exact value of the cut functional S_{A,g} at a point."""
-    coeffs = s_coefficients(cut)
-    if len(point) != len(coeffs):
-        raise ValueError(
-            f"point of length {len(point)} does not match R^{len(coeffs)}")
-    return sum((c * Fraction(x) for c, x in zip(coeffs, point)),
-               start=Fraction(0))
-
-
 MINUS = "minus"
 PLUS = "plus"
 
@@ -150,9 +139,9 @@ def cut_halfspace(cut: OddSubsetCut, side: str) -> HalfSpace:
     """The halfspace S_{A,g} <= rhs (minus) or S_{A,g} >= rhs (plus)."""
     coeffs = s_coefficients(cut)
     if side == MINUS:
-        return HalfSpace.of(coeffs, cut.rhs)
+        return HalfSpace(coeffs, cut.rhs)
     if side == PLUS:
-        return HalfSpace.of(tuple(-c for c in coeffs), -cut.rhs)
+        return HalfSpace(tuple(-c for c in coeffs), -cut.rhs)
     raise ValueError(f"side must be {MINUS!r} or {PLUS!r}, got {side!r}")
 
 
@@ -168,11 +157,11 @@ def ambient(group: Group, n: int) -> HPolytope:
     halfspaces = []
     for i in range(d):
         normal = tuple(-1 if j == i else 0 for j in range(d))
-        halfspaces.append(HalfSpace.of(normal, 0))
+        halfspaces.append(HalfSpace(normal, 0))
     for j in range(n):
         normal = tuple(1 if j * width <= i < (j + 1) * width else 0
                        for i in range(d))
-        halfspaces.append(HalfSpace.of(normal, 1))
+        halfspaces.append(HalfSpace(normal, 1))
     return HPolytope(d, tuple(halfspaces))
 
 

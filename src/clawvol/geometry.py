@@ -1,15 +1,17 @@
 """Exact polyhedral geometry over the rationals.
 
 Everything in this module is computed with integer or ``fractions.Fraction``
-arithmetic; no floats are ever produced.  The central algorithm is a double
-description vertex enumerator working on integer homogeneous coordinates,
-which turns a halfspace description into the exact vertex set of a bounded
-polyhedron and reliably distinguishes empty from unbounded inputs.
+arithmetic; no floats are ever produced, and the constructors refuse them.
+The central algorithm is a double description vertex enumerator working on
+integer homogeneous coordinates, which turns a halfspace description into
+the exact vertex set of a bounded polyhedron and reliably distinguishes
+empty from unbounded inputs.
 
 Conventions:
 
 * points are tuples of ``Fraction``;
-* a halfspace is ``{x : <normal, x> <= offset}``;
+* a halfspace is ``{x : <normal, x> <= offset}``, stored as the primitive
+  integer row ``(normal, offset)``;
 * vertex sets are kept deduplicated and lexicographically sorted.
 """
 
@@ -21,7 +23,6 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence
 
-Rat = Fraction
 Point = tuple[Fraction, ...]
 
 
@@ -41,8 +42,16 @@ class GuardRailError(GeometryError):
     """A computation was refused because it exceeds the default size limits."""
 
 
+def _exact(v):
+    """``v`` itself when it is an int or a ``Fraction``; refuse anything else."""
+    if isinstance(v, (int, Fraction)):
+        return v
+    raise ValueError(f"expected int or Fraction, got {type(v).__name__}")
+
+
 def _as_point(values: Iterable) -> Point:
-    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
+    return tuple(v if type(v) is Fraction else Fraction(_exact(v))
+                 for v in values)
 
 
 def _primitive(vec: Sequence[int]) -> tuple[int, ...]:
@@ -61,45 +70,35 @@ def _scaled_integers(values: Sequence[Fraction]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class HalfSpace:
-    """Closed halfspace ``{x : <normal, x> <= offset}``."""
+    """Closed halfspace ``{x : <normal, x> <= offset}``.
 
-    normal: tuple[Fraction, ...]
-    offset: Fraction
+    Rational input is scaled once to the primitive integer row, sign kept,
+    so ``normal`` and ``offset`` are ints and a positive rescaling of a
+    halfspace compares equal to it.
+    """
 
-    @staticmethod
-    def of(normal: Iterable, offset) -> "HalfSpace":
-        return HalfSpace(_as_point(normal), Fraction(offset))
+    normal: tuple[int, ...]
+    offset: int
+
+    def __post_init__(self):
+        row = _scaled_integers([*map(_exact, self.normal), _exact(self.offset)])
+        object.__setattr__(self, "normal", row[:-1])
+        object.__setattr__(self, "offset", row[-1])
 
     @property
     def dim(self) -> int:
         return len(self.normal)
 
-    def value(self, point: Sequence) -> Fraction:
+    def value(self, point: Sequence):
         """Evaluate ``<normal, point>``."""
-        return sum((a * Fraction(x) for a, x in zip(self.normal, point)),
-                   start=Fraction(0))
-
-    def slack(self, point: Sequence) -> Fraction:
-        return self.offset - self.value(point)
+        return sum(map(mul, self.normal, point))
 
     def holds(self, point: Sequence) -> bool:
         return self.value(point) <= self.offset
 
-    def is_tight(self, point: Sequence) -> bool:
-        return self.value(point) == self.offset
-
     def flipped(self) -> "HalfSpace":
         """The opposite halfspace ``{x : <normal, x> >= offset}`` in <= form."""
         return HalfSpace(tuple(-a for a in self.normal), -self.offset)
-
-    def canonical(self) -> "HalfSpace":
-        """Scale to primitive integer coefficients, preserving orientation."""
-        row = self.integer_form()
-        return HalfSpace(tuple(Fraction(a) for a in row[:-1]), Fraction(row[-1]))
-
-    def integer_form(self) -> tuple[int, ...]:
-        """The row ``(a_1, ..., a_d, b)`` as primitive integers."""
-        return _scaled_integers(tuple(self.normal) + (self.offset,))
 
 
 @dataclass(frozen=True)
@@ -130,8 +129,7 @@ def _sorted_unique_points(points: Iterable[Iterable]) -> tuple[Point, ...]:
 class VPolytope:
     """A polytope given by points; stored deduplicated and lex-sorted.
 
-    The stored points are not forced to be extreme.  ``canonicalize``
-    removes the non-extreme ones.
+    The stored points are not forced to be extreme.
     """
 
     dim: int
@@ -144,10 +142,6 @@ class VPolytope:
             if len(p) != self.dim:
                 raise ValueError(
                     f"point of length {len(p)} does not match ambient R^{self.dim}")
-
-    @staticmethod
-    def from_points(dim: int, points: Iterable[Iterable]) -> "VPolytope":
-        return VPolytope(dim, tuple(tuple(p) for p in points))
 
     def is_empty(self) -> bool:
         return not self.vertices
@@ -251,8 +245,7 @@ def _cone_rows(hp: HPolytope) -> list[tuple[int, ...]]:
     """Integer rows of the homogenized cone: y_0 >= 0 and b*y_0 - <a, y> >= 0."""
     rows = [(1,) + (0,) * hp.dim]
     for hs in hp.halfspaces:
-        coeffs = hs.integer_form()
-        rows.append((coeffs[-1],) + tuple(-a for a in coeffs[:-1]))
+        rows.append((hs.offset,) + tuple(-a for a in hs.normal))
     return rows
 
 
@@ -276,7 +269,7 @@ def vertex_enumeration(hp: HPolytope) -> VPolytope:
 
 
 # ---------------------------------------------------------------------------
-# Rank, affine dimension, hull membership
+# Rank, affine dimension, V/H agreement
 # ---------------------------------------------------------------------------
 
 def bareiss(rows: list[list[int]]) -> tuple[list[int], int]:
@@ -320,107 +313,28 @@ def bareiss(rows: list[list[int]]) -> tuple[list[int], int]:
     return pivots, prev
 
 
-def matrix_rank(rows: Sequence[Sequence]) -> int:
-    """Rank of a rational matrix."""
-    return len(bareiss([list(_scaled_integers(row)) for row in rows])[0])
-
-
 def affine_dim(points: Sequence[Sequence]) -> int:
-    """Dimension of the affine hull: -1 for no points, 0 for one point."""
-    pts = [_as_point(p) for p in points]
-    if not pts:
-        return -1
-    base = pts[0]
-    diffs = [[x - b for x, b in zip(p, base)] for p in pts[1:]]
-    diffs = [row for row in diffs if any(row)]
-    if not diffs:
-        return 0
-    return matrix_rank(diffs)
+    """Dimension of the affine hull: -1 for no points, 0 for one point.
 
-
-def point_in_hull(point: Sequence, points: Sequence[Sequence]) -> bool:
-    """Exact test for membership of ``point`` in the convex hull of ``points``.
-
-    Phase-one simplex method with Bland's rule on the system
-    ``sum(lambda_i * v_i) = point, sum(lambda_i) = 1, lambda >= 0``.
+    The rank of the rows ``(1, p)``, each scaled to primitive integers, is
+    one more than the affine dimension.
     """
-    pts = [_as_point(p) for p in points]
-    target = _as_point(point)
-    if not pts:
-        return False
-    d = len(target)
-    nvars = len(pts)
-    nrows = d + 1
-
-    rows = []
-    rhs = []
-    for i in range(d):
-        rows.append([pts[j][i] for j in range(nvars)])
-        rhs.append(target[i])
-    rows.append([Fraction(1)] * nvars)
-    rhs.append(Fraction(1))
-
-    for i in range(nrows):
-        if rhs[i] < 0:
-            rows[i] = [-v for v in rows[i]]
-            rhs[i] = -rhs[i]
-
-    # Tableau columns: the lambda variables then one artificial per row.
-    tab = [rows[i] + [Fraction(1 if j == i else 0) for j in range(nrows)]
-           + [rhs[i]] for i in range(nrows)]
-    basis = [nvars + i for i in range(nrows)]
-    ncols = nvars + nrows
-
-    obj = [sum(tab[i][j] for i in range(nrows)) for j in range(ncols + 1)]
-
-    while True:
-        enter = next(
-            (j for j in range(nvars) if j not in basis and obj[j] > 0), None)
-        if enter is None:
-            break
-        ratios = [
-            (tab[i][ncols] / tab[i][enter], basis[i], i)
-            for i in range(nrows) if tab[i][enter] > 0
-        ]
-        if not ratios:
-            break
-        _, _, leave = min(ratios)
-        pivot = tab[leave][enter]
-        tab[leave] = [v / pivot for v in tab[leave]]
-        for i in range(nrows):
-            if i != leave and tab[i][enter]:
-                f = tab[i][enter]
-                tab[i] = [a - f * b for a, b in zip(tab[i], tab[leave])]
-        if obj[enter]:
-            f = obj[enter]
-            obj = [a - f * b for a, b in zip(obj, tab[leave])]
-        basis[leave] = enter
-
-    return obj[ncols] == 0
-
-
-def canonicalize(vp: VPolytope) -> VPolytope:
-    """Drop every stored point lying in the convex hull of the others."""
-    pts = list(vp.vertices)
-    keep = []
-    for i, p in enumerate(pts):
-        others = pts[:i] + pts[i + 1 :]
-        if not point_in_hull(p, others):
-            keep.append(p)
-    return VPolytope(vp.dim, tuple(keep))
+    rows = [list(_scaled_integers((1, *map(_exact, p)))) for p in points]
+    return len(bareiss(rows)[0]) - 1
 
 
 def vh_consistent(vp: VPolytope, hp: HPolytope) -> bool:
     """Do the two descriptions define the same polytope?
 
-    True when every stored point satisfies all halfspaces and the exact
-    vertex enumeration of ``hp`` reproduces the extreme points of ``vp``.
+    True when every stored point satisfies all halfspaces, so conv(vp) lies
+    in ``hp``, and every vertex of ``hp`` is a stored point, so ``hp`` lies
+    in conv(vp).  Stored points that are not extreme are allowed.
     """
     if vp.dim != hp.dim:
         return False
     if not all(hp.contains(p) for p in vp.vertices):
         return False
-    return vertex_enumeration(hp).vertices == canonicalize(vp).vertices
+    return set(vertex_enumeration(hp).vertices) <= set(vp.vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +355,8 @@ class LatticeBasis:
                 raise ValueError(
                     f"generator of length {len(row)} does not match Z^{self.dim}")
             clean = []
-            for v in row:
-                if int(v) != v:
+            for v in map(_exact, row):
+                if v.denominator != 1:
                     raise ValueError("lattice generators must be integral")
                 clean.append(int(v))
             gens.append(tuple(clean))

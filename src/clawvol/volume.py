@@ -38,12 +38,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .geometry import (
     GuardRailError,
     LatticeBasis,
-    Point,
     VPolytope,
     _primitive,
     bareiss,
@@ -88,14 +87,6 @@ class _Facet:
         self.base = base
         self.nbrs = [None] * len(key)
         self.seen = -1
-
-
-def _common_denominator(points: Sequence[Point]) -> int:
-    lcm = 1
-    for p in points:
-        for v in p:
-            lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-    return lcm
 
 
 def check_dimension_guard(dim: int, allow_big: bool) -> None:
@@ -155,7 +146,7 @@ def triangulate(vp: VPolytope, *, allow_big: bool = False) -> Triangulation:
     if count < d + 1:
         return Triangulation(vp, (), Fraction(0))
 
-    scale = _common_denominator(pts)
+    scale = math.lcm(*(v.denominator for p in pts for v in p))
     ipts = [tuple(int(v * scale) for v in p) for p in pts]
 
     # Eliminate [B | I], B with columns (1, v).  B's pivot columns are the

@@ -137,7 +137,7 @@ def _random_factor(rng):
     count = rng.randint(dim + 1, 8)
     points = {tuple(rng.randint(0, 2) for _ in range(dim)) for _ in range(count)}
     points.add((0,) * dim)
-    return VPolytope.from_points(dim, sorted(points))
+    return VPolytope(dim, tuple(sorted(points)))
 
 
 def test_criterion_09_join_volume_is_multiplicative(capsys):
@@ -151,8 +151,8 @@ def test_criterion_09_join_volume_is_multiplicative(capsys):
             assert lattice_volume(join_product_many(factors)) == product
 
         # the three-coordinate block conv{0, e2, e3, e1+e2, e1+e3}
-        block = VPolytope.from_points(3, [
-            (0, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1)])
+        block = VPolytope(3, (
+            (0, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1)))
         assert lattice_volume(block) == 2
         for n in (2, 3):
             assert lattice_volume(join_product_many([block] * n)) == 2 ** n

@@ -17,7 +17,6 @@ from clawvol.clawpoly import (
     lattice,
     model_lattice_index,
     s_coefficients,
-    s_value,
     subset_cut,
     tuple_cut,
     vertex_generators,
@@ -28,6 +27,7 @@ from clawvol.geometry import (
     RankDeficientError,
     lattice_index,
     vertex_enumeration,
+    vh_consistent,
 )
 from clawvol.groups import GROUPS, Z2, Z2xZ2, Z3
 from clawvol.volume import lattice_volume
@@ -106,7 +106,7 @@ def test_s_value_and_halfspace_sides():
     cut = subset_cut(Z2, 2, (1,))
     p_in = (Fraction(1), Fraction(0))   # S = -1 <= rhs 0
     p_out = (Fraction(0), Fraction(1))  # S = 1 >= 0
-    assert s_value(cut, p_in) == -1
+    assert cut_halfspace(cut, MINUS).value(p_in) == -1
     assert cut_halfspace(cut, MINUS).holds(p_in)
     assert not cut_halfspace(cut, MINUS).holds(p_out)
     assert cut_halfspace(cut, PLUS).holds(p_out)
@@ -137,8 +137,14 @@ def test_facet_system_supports_vertices(group):
     for v in vp.vertices:
         assert hp.contains(v)
     for cut in facet_cuts(group, n):
-        values = [s_value(cut, v) for v in vp.vertices]
-        assert min(values) == cut.rhs
+        minus = cut_halfspace(cut, MINUS)
+        assert min(minus.value(v) for v in vp.vertices) == cut.rhs
+
+
+@pytest.mark.parametrize("group,n", [(Z2, 6), (Z2, 7), (Z2, 8), (Z3, 4), (Z2xZ2, 4)],
+                         ids=("z2-6", "z2-7", "z2-8", "z3-4", "z2xz2-4"))
+def test_facet_system_matches_vertices_beyond_criterion_06(group, n):
+    assert vh_consistent(vertices(group, n), facets(group, n))
 
 
 @pytest.mark.parametrize(

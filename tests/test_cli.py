@@ -216,6 +216,11 @@ def test_pyproject_version_matches_package():
     assert declared and declared.group(1) == clawvol.__version__
 
 
+def test_every_public_name_resolves():
+    assert [name for name in clawvol.__all__ if not hasattr(clawvol, name)] == []
+    assert len(set(clawvol.__all__)) == len(clawvol.__all__)
+
+
 def test_output_writes_file(runner, tmp_path):
     target = tmp_path / "table.csv"
     result = invoke(runner, "table", "--group", "z2", "--n", "2..4",

@@ -1,4 +1,4 @@
-"""Half-spaces, vertex enumeration, hull membership, lattice index."""
+"""Half-spaces, vertex enumeration, V/H agreement, lattice index."""
 
 import hashlib
 import itertools
@@ -20,10 +20,7 @@ from clawvol.geometry import (
     VPolytope,
     affine_dim,
     bareiss,
-    canonicalize,
     lattice_index,
-    matrix_rank,
-    point_in_hull,
     vertex_enumeration,
     vh_consistent,
 )
@@ -49,15 +46,33 @@ def box(*bounds) -> HPolytope:
 
 
 def test_halfspace_basics():
-    h = HalfSpace.of((1, -2), 3)
+    h = HalfSpace((1, -2), 3)
     assert h.value(pt(1, 0)) == 1
-    assert h.slack(pt(1, 0)) == 2
-    assert h.holds(pt(3, 0)) and h.is_tight(pt(3, 0))
+    assert h.holds(pt(3, 0)) and h.value(pt(3, 0)) == h.offset
     assert not h.holds(pt(4, 0))
     assert h.flipped().holds(pt(4, 0))
-    assert h.integer_form() == (1, -2, 3)
-    assert HalfSpace.of((2, -4), 6).integer_form() == (1, -2, 3)
-    assert HalfSpace.of((F(2, 3), 0), F(1, 3)).canonical() == HalfSpace.of((2, 0), 1)
+    assert h.flipped() == HalfSpace((-1, 2), -3)
+    # stored as the primitive integer row, orientation kept
+    assert HalfSpace((2, -4), 6) == h
+    assert HalfSpace((-2, 4), -6) == h.flipped()
+    scaled = HalfSpace((F(2, 3), 0), F(1, 3))
+    assert scaled == HalfSpace((2, 0), 1)
+    assert type(scaled.offset) is int and all(type(a) is int for a in scaled.normal)
+    assert HalfSpace((0, 0), F(-3, 2)) == HalfSpace((0, 0), -1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: HalfSpace((1, 0), 0.1),
+    lambda: HalfSpace((0.5, 0), 1),
+    lambda: VPolytope(1, ((0.1,),)),
+    lambda: VPolytope(2, ((0, 0), (1, 1.0))),
+    lambda: LatticeBasis(1, ((1.0,),)),
+    lambda: affine_dim([(0, 0), (0.5, 1)]),
+], ids=("halfspace-offset", "halfspace-normal", "vpolytope", "vpolytope-whole",
+        "lattice", "affine-dim"))
+def test_floats_are_refused(build):
+    with pytest.raises(ValueError, match="float"):
+        build()
 
 
 def test_hpolytope_contains():
@@ -80,9 +95,9 @@ def test_enumerate_unit_square():
 
 def test_enumerate_simplex():
     rows = (
-        HalfSpace.of((-1, 0), 0),
-        HalfSpace.of((0, -1), 0),
-        HalfSpace.of((1, 1), 1),
+        HalfSpace((-1, 0), 0),
+        HalfSpace((0, -1), 0),
+        HalfSpace((1, 1), 1),
     )
     vp = vertex_enumeration(HPolytope(2, rows))
     assert vp.vertices == (pt(0, 0), pt(0, 1), pt(1, 0))
@@ -91,7 +106,7 @@ def test_enumerate_simplex():
 def test_enumerate_cut_cube():
     """Cube corners below the plane plus six edge crossings at halves."""
     hp = box((0, 1), (0, 1), (0, 1)).with_halfspaces(
-        (HalfSpace.of((2, 2, 2), 3),))
+        (HalfSpace((2, 2, 2), 3),))
     vp = vertex_enumeration(hp)
     low = {p for p in vp.vertices if sum(p) <= 1}
     cut = {p for p in vp.vertices if sum(p) == F(3, 2)}
@@ -100,10 +115,10 @@ def test_enumerate_cut_cube():
 
 
 def test_enumerate_empty_and_unbounded():
-    infeasible = HPolytope(1, (HalfSpace.of((1,), -1), HalfSpace.of((-1,), 0)))
+    infeasible = HPolytope(1, (HalfSpace((1,), -1), HalfSpace((-1,), 0)))
     assert vertex_enumeration(infeasible).is_empty()
     with pytest.raises(UnboundedError):
-        vertex_enumeration(HPolytope(2, (HalfSpace.of((1, 0), 0),)))
+        vertex_enumeration(HPolytope(2, (HalfSpace((1, 0), 0),)))
 
 
 def test_enumerate_lower_dimensional():
@@ -112,25 +127,11 @@ def test_enumerate_lower_dimensional():
     assert vp.vertices == (pt(0, 0), pt(1, 0))
 
 
-def test_point_in_hull():
-    square = [pt(0, 0), pt(1, 0), pt(0, 1), pt(1, 1)]
-    assert point_in_hull(pt(F(1, 3), F(2, 3)), square)
-    assert point_in_hull(pt(1, 1), square)
-    assert not point_in_hull(pt(1, F(3, 2)), square)
-    assert not point_in_hull(pt(-1, 0), square)
-
-
 def test_affine_dim():
     assert affine_dim([]) == -1
     assert affine_dim([pt(5, 5)]) == 0
     assert affine_dim([pt(0, 0), pt(1, 1), pt(2, 2)]) == 1
     assert affine_dim([pt(0, 0), pt(1, 0), pt(0, 1)]) == 2
-
-
-def test_matrix_rank():
-    assert matrix_rank([]) == 0
-    assert matrix_rank([[F(1), F(2)], [F(2), F(4)]]) == 1
-    assert matrix_rank([[F(1), F(0)], [F(1), F(1)]]) == 2
 
 
 @st.composite
@@ -162,7 +163,6 @@ def int_matrices(draw, square=False, degenerate=True):
 def test_bareiss_rank_matches_sympy(rows):
     expected = sympy.Matrix(rows).rank()
     assert len(bareiss([r[:] for r in rows])[0]) == expected
-    assert matrix_rank([[F(v, 3) for v in r] for r in rows]) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -200,12 +200,6 @@ def test_bareiss_pivots_are_greedy_and_right_block_inverts_them(rows):
     if pivots[-1] < ncols:
         right = sympy.Matrix([r[ncols:] for r in work])
         assert m[:, pivots] * right == last * sympy.eye(nrows)
-
-
-def test_canonicalize_drops_non_extreme_points():
-    vp = VPolytope(2, (pt(0, 0), pt(2, 0), pt(0, 2), pt(2, 2),
-                       pt(1, 1), pt(1, 0)))
-    assert canonicalize(vp).vertices == (pt(0, 0), pt(0, 2), pt(2, 0), pt(2, 2))
 
 
 def test_vh_consistent():
@@ -253,7 +247,7 @@ def brute_force_vertices(hp: HPolytope) -> tuple:
     independent, found by solving each dim-subset with Fraction elimination."""
     found = set()
     for subset in itertools.combinations(hp.halfspaces, hp.dim):
-        system = [list(h.normal) + [h.offset] for h in subset]
+        system = [[F(v) for v in (*h.normal, h.offset)] for h in subset]
         for c in range(hp.dim):
             p = next((i for i in range(c, hp.dim) if system[i][c]), None)
             if p is None:
@@ -274,21 +268,22 @@ def brute_force_vertices(hp: HPolytope) -> tuple:
 @st.composite
 def boxed_polytopes(draw):
     """A box in R^1..R^4 cut by random halfspaces near its center, with
-    duplicate (also rescaled) rows, zero rows, implicit equalities and
-    contradictions."""
+    duplicate rows, zero rows, implicit equalities and contradictions.  A
+    duplicate may be given rescaled; the constructor normalizes it to the
+    same primitive row."""
     d = draw(st.integers(1, 4))
     halves = st.integers(-4, 4).map(lambda k: F(k, 2))
     lo = [draw(halves) for _ in range(d)]
-    hi = [a + draw(st.integers(0, 4)) / 2 for a in lo]
+    hi = [a + F(draw(st.integers(0, 4)), 2) for a in lo]
     center = [(a + b) / 2 for a, b in zip(lo, hi)]
     rows = []
     for i in range(d):
         e = tuple(int(j == i) for j in range(d))
-        rows += [HalfSpace.of(tuple(-x for x in e), -lo[i]), HalfSpace.of(e, hi[i])]
+        rows += [HalfSpace(tuple(-x for x in e), -lo[i]), HalfSpace(e, hi[i])]
 
     def near_center():
         a = draw(st.tuples(*[st.integers(-2, 2)] * d).filter(any))
-        return HalfSpace.of(a, sum(x * c for x, c in zip(a, center)) + draw(halves) / 2)
+        return HalfSpace(a, sum(x * c for x, c in zip(a, center)) + draw(halves) / 2)
 
     for _ in range(draw(st.integers(0, 2))):
         rows.append(near_center())
@@ -299,7 +294,7 @@ def boxed_polytopes(draw):
             k = draw(st.sampled_from((F(1), F(2), F(1, 3))))
             rows.append(HalfSpace(tuple(k * a for a in h.normal), k * h.offset))
         elif kind == "zero":
-            rows.append(HalfSpace.of((0,) * d, draw(halves)))
+            rows.append(HalfSpace((0,) * d, draw(halves)))
         elif kind == "equality":
             h = near_center()
             rows += [h, h.flipped()]
@@ -315,10 +310,97 @@ def test_enumeration_matches_brute_force(hp):
     assert vertex_enumeration(hp).vertices == brute_force_vertices(hp)
 
 
+def convex_combination(points, weights):
+    total = sum(weights)
+    return tuple(sum(w * p[i] for w, p in zip(weights, points)) / total
+                 for i in range(len(points[0])))
+
+
+@settings(max_examples=50, deadline=None)
+@given(boxed_polytopes(), st.data())
+def test_vh_consistent_against_brute_force_vertices(hp, data):
+    verts = brute_force_vertices(hp)
+    if not verts:
+        assert vh_consistent(VPolytope(hp.dim, ()), hp)
+        assert not vh_consistent(VPolytope(hp.dim, ((0,) * hp.dim,)), hp)
+        return
+    weights = st.lists(st.integers(0, 3), min_size=len(verts),
+                       max_size=len(verts)).filter(any)
+    combos = tuple(convex_combination(verts, w)
+                   for w in data.draw(st.lists(weights, max_size=3)))
+    assert vh_consistent(VPolytope(hp.dim, verts + combos), hp)
+    dropped = data.draw(st.sampled_from(verts))
+    rest = tuple(p for p in verts + combos if p != dropped)
+    assert not vh_consistent(VPolytope(hp.dim, rest), hp)
+    outside = (max(v[0] for v in verts) + 1, *verts[0][1:])
+    assert not vh_consistent(VPolytope(hp.dim, verts + combos + (outside,)), hp)
+
+
+@st.composite
+def rational_point_sets(draw):
+    """Up to six points in R^1..R^4 with int or Fraction coordinates, often
+    repeated, on one line, or on the line through two earlier points."""
+    d = draw(st.integers(1, 4))
+    coord = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+    point = st.tuples(*[coord] * d)
+    if draw(st.booleans()):
+        base, step = draw(point), draw(point)
+        points = [tuple(b + t * s for b, s in zip(base, step))
+                  for t in draw(st.lists(coord, max_size=5))]
+    else:
+        points = draw(st.lists(point, max_size=4))
+    for kind in draw(st.lists(st.sampled_from(("duplicate", "collinear")),
+                              max_size=2 if points else 0)):
+        a, b = draw(st.sampled_from(points)), draw(st.sampled_from(points))
+        if kind == "duplicate":
+            points.append(a)
+        else:
+            t = draw(coord)
+            points.append(tuple(x + t * (y - x) for x, y in zip(a, b)))
+    return d, points
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_point_sets())
+def test_affine_dim_matches_sympy_rank(case):
+    d, points = case
+    if not points:
+        assert affine_dim(points) == -1
+        return
+    base = points[0]
+    diffs = sympy.Matrix([[x - b for x, b in zip(p, base)] for p in points])
+    assert diffs.shape == (len(points), d)
+    assert affine_dim(points) == diffs.rank()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+    st.lists(st.fractions(-5, 5, max_denominator=6), min_size=d, max_size=d),
+    st.fractions(-5, 5, max_denominator=6),
+    st.fractions(F(1, 7), 7, max_denominator=7),
+    st.lists(st.fractions(-3, 3, max_denominator=5), min_size=d, max_size=d))))
+def test_halfspace_rescaling_and_holds(case):
+    normal, offset, k, point = case
+    h = HalfSpace(tuple(normal), offset)
+    assert HalfSpace(tuple(k * a for a in normal), k * offset) == h
+    assert math.gcd(*h.normal, h.offset) in (0, 1)
+
+    def exact(x):
+        return sum(a * v for a, v in zip(normal, x)) <= offset
+
+    assert h.holds(point) == exact(point)
+    i = next((i for i, a in enumerate(normal) if a), None)
+    if i is not None:
+        # move the point onto the boundary along coordinate i
+        tight = list(point)
+        tight[i] += (offset - sum(a * v for a, v in zip(normal, point))) / normal[i]
+        assert h.holds(tight) and h.flipped().holds(tight) and exact(tight)
+
+
 @pytest.mark.parametrize("hp", [
-    HPolytope(2, (HalfSpace.of((1, 0), 0),)),
-    HPolytope(2, (HalfSpace.of((-1, 0), 0), HalfSpace.of((1, 0), 1))),
-    HPolytope(3, tuple(HalfSpace.of(tuple(-int(i == j) for j in range(3)), 0)
+    HPolytope(2, (HalfSpace((1, 0), 0),)),
+    HPolytope(2, (HalfSpace((-1, 0), 0), HalfSpace((1, 0), 1))),
+    HPolytope(3, tuple(HalfSpace(tuple(-int(i == j) for j in range(3)), 0)
                        for i in range(3))),
 ], ids=("halfspace", "strip", "orthant"))
 def test_enumerate_unbounded_examples(hp):
