@@ -13,6 +13,7 @@ cut inequalities indexed by subsets of [n] (Z2, Z2xZ2) or by digit tuples in
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable
@@ -145,11 +146,14 @@ def cut_halfspace(cut: OddSubsetCut, side: str) -> HalfSpace:
     raise ValueError(f"side must be {MINUS!r} or {PLUS!r}, got {side!r}")
 
 
+@functools.lru_cache(maxsize=8)
 def ambient(group: Group, n: int) -> HPolytope:
     """The box or product of unit simplices containing the polytope.
 
     Z2: the cube [0,1]^n.  Z2xZ2 and Z3: per block, all coordinates
-    nonnegative with block sum at most 1.
+    nonnegative with block sum at most 1.  The object is shared between
+    calls, so every piece cut from it resumes vertex enumeration from the
+    same memoised cone.
     """
     _check_n(n, 1)
     d = ambient_dim(group, n)
@@ -261,17 +265,6 @@ def lattice(group: Group, n: int) -> LatticeBasis:
             for g in (1, 2, 3):
                 gens.append(combine((1, unit(j, g)), (-1, unit(0, g))))
     return LatticeBasis(d, tuple(gens))
-
-
-def vertex_generators(group: Group, n: int) -> LatticeBasis:
-    """The raw vertex vectors as lattice generators.
-
-    For n >= 3 these span the same lattice as ``lattice(group, n)``; at
-    n = 2 they are rank-deficient, which is why the explicit basis exists.
-    """
-    vp = vertices(group, n)
-    rows = tuple(tuple(int(v) for v in p) for p in vp.vertices)
-    return LatticeBasis(vp.dim, rows)
 
 
 def model_lattice_index(group: Group) -> int:

@@ -5,7 +5,10 @@ arithmetic; no floats are ever produced, and the constructors refuse them.
 The central algorithm is a double description vertex enumerator working on
 integer homogeneous coordinates, which turns a halfspace description into
 the exact vertex set of a bounded polyhedron and reliably distinguishes
-empty from unbounded inputs.
+empty from unbounded inputs.  A polytope built by ``with_halfspaces``
+remembers the polytope it came from; the enumerator resumes from that base
+polytope's cone, computed once and kept on the base, and processes only the
+added rows.
 
 Conventions:
 
@@ -18,7 +21,7 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence
@@ -94,31 +97,54 @@ class HalfSpace:
         return sum(map(mul, self.normal, point))
 
     def holds(self, point: Sequence) -> bool:
-        return self.value(point) <= self.offset
+        scaled, d = _integer_point(point)
+        return sum(map(mul, self.normal, scaled)) <= self.offset * d
 
     def flipped(self) -> "HalfSpace":
         """The opposite halfspace ``{x : <normal, x> >= offset}`` in <= form."""
         return HalfSpace(tuple(-a for a in self.normal), -self.offset)
 
 
+def _integer_point(point: Sequence) -> tuple[list[int], int]:
+    """``(d * point, d)`` with d the lcm of the point's denominators."""
+    d = math.lcm(*(_exact(v).denominator for v in point))
+    return [v.numerator * d // v.denominator for v in point], d
+
+
 @dataclass(frozen=True)
 class HPolytope:
-    """A polyhedron given by finitely many halfspaces in R^dim."""
+    """A polyhedron given by finitely many halfspaces in R^dim.
+
+    ``base`` is the polytope whose halfspaces this one extends, set by
+    ``with_halfspaces``.  ``vertex_enumeration`` resumes from the base's
+    cone, which it computes once and keeps in the base's ``_cone``.  Neither
+    field takes part in equality, hashing or repr.
+    """
 
     dim: int
     halfspaces: tuple[HalfSpace, ...]
+    base: HPolytope | None = field(default=None, compare=False, repr=False)
+    _cone: tuple | None = field(default=None, init=False, compare=False,
+                                repr=False)
 
     def __post_init__(self):
         for hs in self.halfspaces:
             if hs.dim != self.dim:
                 raise ValueError(
                     f"halfspace in R^{hs.dim} does not match ambient R^{self.dim}")
+        base = self.base
+        if base is not None and (
+                base.dim != self.dim
+                or self.halfspaces[:len(base.halfspaces)] != base.halfspaces):
+            raise ValueError("the base's halfspaces must be a prefix of these")
 
     def contains(self, point: Sequence) -> bool:
-        return all(hs.holds(point) for hs in self.halfspaces)
+        scaled, d = _integer_point(point)
+        return all(sum(map(mul, hs.normal, scaled)) <= hs.offset * d
+                   for hs in self.halfspaces)
 
     def with_halfspaces(self, extra: Iterable[HalfSpace]) -> "HPolytope":
-        return HPolytope(self.dim, self.halfspaces + tuple(extra))
+        return HPolytope(self.dim, self.halfspaces + tuple(extra), self)
 
 
 def _sorted_unique_points(points: Iterable[Iterable]) -> tuple[Point, ...]:
@@ -151,7 +177,7 @@ class VPolytope:
 # Double description vertex enumeration
 # ---------------------------------------------------------------------------
 
-def _dd_cone(rows: list[tuple[int, ...]], dim: int):
+def _dd_cone(rows: list[tuple[int, ...]], dim: int, start: tuple | None = None):
     """Extreme rays and lineality of ``{y : <row, y> >= 0 for all rows}``.
 
     Pure integer double description: the rows, rays and lineality
@@ -163,14 +189,23 @@ def _dd_cone(rows: list[tuple[int, ...]], dim: int):
     and Prodon (1996): their common zero set is large enough for the
     pointed part of the cone, and no third ray's zero set contains it.
     Returns ``(rays, zero_sets, lineality)``.
-    """
-    lineality: list[tuple[int, ...]] = [
-        tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)
-    ]
-    rays: list[tuple[int, ...]] = []
-    zsets: list[int] = []
 
-    for k, c in enumerate(rows):
+    ``start``, when given, is ``(rays, zero_sets, lineality, consumed)``
+    for the cone of ``consumed`` earlier rows; the run continues from it,
+    numbering the zero-set bits of ``rows`` from ``consumed`` on.  The loop
+    only rebinds its lists, so ``start`` is never modified.
+    """
+    if start is None:
+        lineality: list[tuple[int, ...]] = [
+            tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)
+        ]
+        rays: list[tuple[int, ...]] = []
+        zsets: list[int] = []
+        consumed = 0
+    else:
+        rays, zsets, lineality, consumed = start
+
+    for k, c in enumerate(rows, consumed):
         bit = 1 << k
         lin_vals = [sum(map(mul, c, l)) for l in lineality]
         pivot = next((i for i, t in enumerate(lin_vals) if t != 0), None)
@@ -241,12 +276,32 @@ def _dd_cone(rows: list[tuple[int, ...]], dim: int):
     return rays, zsets, lineality
 
 
+def _halfspace_rows(halfspaces: Iterable[HalfSpace]) -> list[tuple[int, ...]]:
+    """Cone rows ``b*y_0 - <a, y> >= 0`` of halfspaces ``<a, x> <= b``."""
+    return [(hs.offset, *(-a for a in hs.normal)) for hs in halfspaces]
+
+
 def _cone_rows(hp: HPolytope) -> list[tuple[int, ...]]:
     """Integer rows of the homogenized cone: y_0 >= 0 and b*y_0 - <a, y> >= 0."""
-    rows = [(1,) + (0,) * hp.dim]
-    for hs in hp.halfspaces:
-        rows.append((hs.offset,) + tuple(-a for a in hs.normal))
-    return rows
+    return [(1,) + (0,) * hp.dim] + _halfspace_rows(hp.halfspaces)
+
+
+def _dd_state(hp: HPolytope) -> tuple:
+    """DD state ``(rays, zero_sets, lineality, consumed)`` of hp's cone.
+
+    With a base, DD resumes from the base's state and consumes only the
+    rows after it; the base's state is computed once, the same way, and
+    kept on the base.
+    """
+    base = hp.base
+    if base is None:
+        rows, start = _cone_rows(hp), None
+    else:
+        if base._cone is None:
+            object.__setattr__(base, "_cone", _dd_state(base))
+        rows = _halfspace_rows(hp.halfspaces[len(base.halfspaces):])
+        start = base._cone
+    return (*_dd_cone(rows, hp.dim + 1, start), len(hp.halfspaces) + 1)
 
 
 def vertex_enumeration(hp: HPolytope) -> VPolytope:
@@ -254,10 +309,12 @@ def vertex_enumeration(hp: HPolytope) -> VPolytope:
 
     Returns an empty ``VPolytope`` when the constraints are infeasible and
     raises ``UnboundedError`` when the feasible region has a recession
-    direction, so the two degenerate outcomes are never confused.
+    direction, so the two degenerate outcomes are never confused.  A
+    polytope built by ``with_halfspaces`` resumes DD from its base
+    polytope's cone and processes only the added halfspaces.
     """
     d = hp.dim
-    rays, _, lineality = _dd_cone(_cone_rows(hp), d + 1)
+    rays, _, lineality, _ = _dd_state(hp)
     bounded_rays = [r for r in rays if r[0] > 0]
     if not bounded_rays:
         return VPolytope(d, ())

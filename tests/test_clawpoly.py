@@ -19,7 +19,6 @@ from clawvol.clawpoly import (
     s_coefficients,
     subset_cut,
     tuple_cut,
-    vertex_generators,
     vertices,
 )
 from clawvol.geometry import (
@@ -162,6 +161,17 @@ def test_model_lattice_index(group, index):
     assert model_lattice_index(group) == index
     for n in (2, 3, 4):
         assert lattice_index(lattice(group, n)) == index
+
+
+def vertex_generators(group, n):
+    """The raw vertex vectors as lattice generators.
+
+    For n >= 3 these span the same lattice as ``lattice(group, n)``; at
+    n = 2 they are rank-deficient, which is why the explicit basis exists.
+    """
+    vp = vertices(group, n)
+    rows = tuple(tuple(int(v) for v in p) for p in vp.vertices)
+    return LatticeBasis(vp.dim, rows)
 
 
 @pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.name)

@@ -7,10 +7,11 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from clawvol.cuts import cut_piece, lemma_claims
+from clawvol import clawpoly, geometry
+from clawvol.cuts import CutSpec, cut_piece, lemma_claims, piece_vertices
 from clawvol.geometry import (
     HPolytope,
     HalfSpace,
@@ -24,7 +25,13 @@ from clawvol.geometry import (
     vertex_enumeration,
     vh_consistent,
 )
-from clawvol.geometry import _cone_rows, _dd_cone, _primitive, _scaled_integers
+from clawvol.geometry import (
+    _cone_rows,
+    _dd_cone,
+    _dd_state,
+    _primitive,
+    _scaled_integers,
+)
 
 F = Fraction
 
@@ -68,8 +75,10 @@ def test_halfspace_basics():
     lambda: VPolytope(2, ((0, 0), (1, 1.0))),
     lambda: LatticeBasis(1, ((1.0,),)),
     lambda: affine_dim([(0, 0), (0.5, 1)]),
+    lambda: HalfSpace((1, 0), 1).holds((0.5, 0)),
+    lambda: box((0, 1), (0, 1)).contains((0, 0.5)),
 ], ids=("halfspace-offset", "halfspace-normal", "vpolytope", "vpolytope-whole",
-        "lattice", "affine-dim"))
+        "lattice", "affine-dim", "holds", "contains"))
 def test_floats_are_refused(build):
     with pytest.raises(ValueError, match="float"):
         build()
@@ -310,6 +319,17 @@ def test_enumeration_matches_brute_force(hp):
     assert vertex_enumeration(hp).vertices == brute_force_vertices(hp)
 
 
+@settings(max_examples=100, deadline=None)
+@given(boxed_polytopes(), st.data())
+def test_contains_matches_fraction_evaluation(hp, data):
+    coord = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=6))
+    point = data.draw(st.tuples(*[coord] * hp.dim))
+    exact = [sum(F(a) * v for a, v in zip(hs.normal, point)) <= hs.offset
+             for hs in hp.halfspaces]
+    assert [hs.holds(point) for hs in hp.halfspaces] == exact
+    assert hp.contains(point) == all(exact)
+
+
 def convex_combination(points, weights):
     total = sum(weights)
     return tuple(sum(w * p[i] for w, p in zip(weights, points)) / total
@@ -479,3 +499,141 @@ def test_dd_cone_output_frozen(lemma, n, pieces, digest):
         hp = cut_piece(claim.spec)
         h.update(repr(_dd_cone(_cone_rows(hp), hp.dim + 1)).encode())
     assert h.hexdigest() == digest
+
+
+def normalised_cone(state):
+    """The ``(rays, zero_sets, lineality)`` part of a DD state, as lists."""
+    return tuple(list(part) for part in state[:3])
+
+
+@pytest.mark.parametrize("lemma, n, pieces, digest", FROZEN_DD,
+                         ids=[lemma for lemma, *_ in FROZEN_DD])
+def test_resumed_dd_matches_frozen_digests(lemma, n, pieces, digest):
+    h = hashlib.sha256()
+    for claim in lemma_claims(lemma, n):
+        hp = cut_piece(claim.spec)
+        assert hp.base is not None
+        h.update(repr(normalised_cone(_dd_state(hp))).encode())
+    assert h.hexdigest() == digest
+
+
+@st.composite
+def split_polytopes(draw):
+    """A boxed polytope and up to three cut points splitting its rows into
+    a chain of bases, each extended by the next segment."""
+    hp = draw(boxed_polytopes())
+    m = len(hp.halfspaces)
+    return hp, sorted(draw(st.lists(st.integers(0, m), max_size=3)))
+
+
+def chained(hp, cuts):
+    piece = HPolytope(hp.dim, hp.halfspaces[:cuts[0]])
+    for lo, hi in zip(cuts, cuts[1:] + [len(hp.halfspaces)]):
+        piece = piece.with_halfspaces(hp.halfspaces[lo:hi])
+    return piece
+
+
+def vertices_or_unbounded(hp):
+    try:
+        return vertex_enumeration(hp)
+    except UnboundedError:
+        return "unbounded"
+
+
+UNIT_SQUARE_ROWS = box((0, 1), (0, 1)).halfspaces
+INFEASIBLE_ROWS = (HalfSpace((1, 0), -1), HalfSpace((-1, 0), 0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(split_polytopes())
+# an unbounded base: one row, so the lineality is not yet empty
+@example((HPolytope(2, UNIT_SQUARE_ROWS), [1]))
+# a base with no row at all
+@example((HPolytope(2, UNIT_SQUARE_ROWS), [0, 0]))
+# an infeasible base extended by the square's rows
+@example((HPolytope(2, INFEASIBLE_ROWS + UNIT_SQUARE_ROWS), [2]))
+# an unbounded base that stays unbounded
+@example((HPolytope(2, UNIT_SQUARE_ROWS[:3]), [1]))
+# a bounded base extended by a copy of one of its rows, which is tight on
+# some of the base's rays and cuts none of them
+@example((HPolytope(2, UNIT_SQUARE_ROWS + UNIT_SQUARE_ROWS[1:2]), [4]))
+# a bounded base cut by one more row
+@example((HPolytope(2, UNIT_SQUARE_ROWS + (HalfSpace((1, 1), 1),)), [4]))
+def test_resumed_enumeration_matches_full(case):
+    hp, cuts = case
+    if not cuts:
+        cuts = [0]
+    piece = chained(hp, cuts)
+    assert piece == hp
+    assert vertices_or_unbounded(piece) == vertices_or_unbounded(hp)
+    assert normalised_cone(_dd_state(piece)) == _dd_cone(
+        _cone_rows(hp), hp.dim + 1)
+    # extending a base never changes the cone kept on it
+    base = piece.base
+    while base is not None:
+        assert normalised_cone(base._cone) == _dd_cone(
+            _cone_rows(base), base.dim + 1)
+        base = base.base
+
+
+def test_base_must_be_a_prefix():
+    square = box((0, 1), (0, 1))
+    with pytest.raises(ValueError, match="prefix"):
+        HPolytope(2, square.halfspaces[1:], square)
+    with pytest.raises(ValueError, match="prefix"):
+        HPolytope(3, (), HPolytope(2, ()))
+
+
+def test_base_is_invisible_to_equality_hash_and_repr():
+    square = box((0, 1), (0, 1))
+    cut = square.with_halfspaces((HalfSpace((1, 1), 1),))
+    plain = HPolytope(2, cut.halfspaces)
+    vertex_enumeration(cut)
+    assert cut.base is square and square._cone is not None
+    assert cut == plain and hash(cut) == hash(plain) and repr(cut) == repr(plain)
+
+
+LEMMA_PIECE_FAMILIES = (("z2-same-parity-pair-flat", 4),
+                        ("z2z2-same-channel-pair-flat", 3),
+                        ("z3-cross-channel-flat", 3))
+
+
+def test_enumerating_twice_leaves_memoised_cones_unchanged():
+    pieces = [cut_piece(claim.spec) for lemma, n in LEMMA_PIECE_FAMILIES
+              for claim in lemma_claims(lemma, n)]
+    first = [vertex_enumeration(p) for p in pieces]
+    bases = {id(p.base): p.base for p in pieces}
+    assert len(bases) == len(LEMMA_PIECE_FAMILIES)
+    memo = {key: base._cone for key, base in bases.items()}
+    snapshot = {key: repr(cone) for key, cone in memo.items()}
+    assert [vertex_enumeration(p) for p in pieces] == first
+    for key, base in bases.items():
+        assert base._cone is memo[key]
+        assert repr(base._cone) == snapshot[key]
+        full = _dd_cone(_cone_rows(base), base.dim + 1)
+        assert normalised_cone(base._cone) == full
+        assert base._cone[3] == len(base.halfspaces) + 1
+
+
+def test_second_piece_consumes_only_its_cut_rows(monkeypatch):
+    consumed = []
+    original = geometry._dd_cone
+
+    def recording(rows, dim, start=None):
+        consumed.append(len(rows))
+        return original(rows, dim, start)
+
+    monkeypatch.setattr(geometry, "_dd_cone", recording)
+    clawpoly.ambient.cache_clear()
+    first, second = (claim.spec for claim in
+                     lemma_claims("z3-cross-channel-pair-volume", 3)[:2])
+    rows = len(clawpoly.ambient(first.group, first.n).halfspaces) + 1
+    piece_vertices(first)
+    assert consumed == [rows, len(first.cuts)]
+    consumed.clear()
+    piece_vertices(second)
+    assert consumed == [len(second.cuts)]
+    consumed.clear()
+    one_cut = CutSpec(first.group, first.n, first.cuts[:1])
+    piece_vertices(one_cut)
+    assert consumed == [1]
