@@ -31,7 +31,6 @@ from .clawpoly import (
     ambient,
     ambient_dim,
     cut_halfspace,
-    facet_cuts,
     model_lattice_index,
     subset_cut,
     tuple_cut,
@@ -120,28 +119,6 @@ def assemble(group: Group, n: int) -> Fraction:
     return (box - union) / model_lattice_index(group)
 
 
-def union_volume_by_regions(group: Group, n: int, *,
-                            allow_big: bool = False) -> Fraction:
-    """Union volume of all facet-cut pieces by disjoint region accounting.
-
-    Splits the ambient along every facet cut: for each nonempty sign
-    pattern, the region inside exactly those minus sides (and the plus
-    sides of all other cuts) is measured, and the volumes are summed.
-    Exponential in the cut count, so only tiny n are sensible; this is the
-    independent check that the assembly's counting is right.
-    """
-    cuts = facet_cuts(group, n)
-    base = ambient(group, n)
-    total = Fraction(0)
-    for pattern in range(1, 1 << len(cuts)):
-        rows = tuple(
-            cut_halfspace(c, MINUS if pattern >> i & 1 else PLUS)
-            for i, c in enumerate(cuts))
-        region = base.with_halfspaces(rows)
-        total += lattice_volume(vertex_enumeration(region), allow_big=allow_big)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Subset and digit-tuple combinatorics
 # ---------------------------------------------------------------------------
@@ -163,10 +140,6 @@ def count_singleton_delta_triples(n: int) -> int:
 
 def _mask_positions(mask: int) -> tuple[int, ...]:
     return tuple(j + 1 for j in range(mask.bit_length()) if mask >> j & 1)
-
-
-def _odd_masks(n: int) -> list[int]:
-    return [m for m in range(1 << n) if bin(m).count("1") % 2 == 1]
 
 
 def z3_tuples(n: int) -> Iterator[tuple[int, ...]]:

@@ -17,11 +17,8 @@ from math import comb, factorial
 from typing import Iterable
 
 from .geometry import GuardRailError
-from .groups import Group, Z2, Z2xZ2, Z3
+from .groups import Group, Z2, Z3
 
-DEG_Z2 = "DegZ2"
-DEG_Z2XZ2 = "DegZ2xZ2"
-DEG_Z3 = "DegZ3"
 Z2_CUT = "Z2Cut"
 Z22_ONE_FACET = "Z22OneFacet"
 Z22_TWO_FACET = "Z22TwoFacet"
@@ -30,7 +27,6 @@ Z3_ONE_FACET = "Z3OneFacet"
 Z3_TWO_FACET = "Z3TwoFacet"
 
 FORMULA_TAGS = (
-    DEG_Z2, DEG_Z2XZ2, DEG_Z3,
     Z2_CUT, Z22_ONE_FACET, Z22_TWO_FACET, Z22_THREE_FACET,
     Z3_ONE_FACET, Z3_TWO_FACET,
 )
@@ -106,7 +102,7 @@ def delta_set(a: Iterable[int], b: Iterable[int], c: Iterable[int]) -> frozenset
 
 
 def cut_formula(tag: str, n: int, extra=None) -> Fraction:
-    """Closed-form value of one theorem or cut-piece lemma.
+    """Closed-form value of one cut-piece lemma.
 
     ``extra`` is required only for the three-channel tag: a triple
     (A, B, C) of position sets with odd total size; the value is then
@@ -133,12 +129,6 @@ def cut_formula(tag: str, n: int, extra=None) -> Fraction:
         return 2 ** n - Fraction(n, 2 ** (n - 1))
     if tag == Z3_TWO_FACET:
         return 3 - Fraction(1, 2 ** (n - 2))
-    if tag == DEG_Z2:
-        return Fraction(degree(Z2, n))
-    if tag == DEG_Z2XZ2:
-        return Fraction(degree(Z2xZ2, n))
-    if tag == DEG_Z3:
-        return Fraction(degree(Z3, n))
     raise ValueError(f"unknown formula tag {tag!r}")
 
 

@@ -12,7 +12,9 @@ added rows.
 
 Conventions:
 
-* points are tuples of ``Fraction``;
+* a point is a tuple of exact rationals as computed: each coordinate is an
+  ``int`` or a ``Fraction``, and nothing converts between them (Python
+  compares, hashes and sorts ``1`` and ``Fraction(1)`` as the same value);
 * a halfspace is ``{x : <normal, x> <= offset}``, stored as the primitive
   integer row ``(normal, offset)``;
 * vertex sets are kept deduplicated and lexicographically sorted.
@@ -26,7 +28,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence
 
-Point = tuple[Fraction, ...]
+Point = tuple[int | Fraction, ...]
 
 
 class GeometryError(Exception):
@@ -50,11 +52,6 @@ def _exact(v):
     if isinstance(v, (int, Fraction)):
         return v
     raise ValueError(f"expected int or Fraction, got {type(v).__name__}")
-
-
-def _as_point(values: Iterable) -> Point:
-    return tuple(v if type(v) is Fraction else Fraction(_exact(v))
-                 for v in values)
 
 
 def _primitive(vec: Sequence[int]) -> tuple[int, ...]:
@@ -147,10 +144,6 @@ class HPolytope:
         return HPolytope(self.dim, self.halfspaces + tuple(extra), self)
 
 
-def _sorted_unique_points(points: Iterable[Iterable]) -> tuple[Point, ...]:
-    return tuple(sorted(set(_as_point(p) for p in points)))
-
-
 @dataclass(frozen=True)
 class VPolytope:
     """A polytope given by points; stored deduplicated and lex-sorted.
@@ -162,7 +155,7 @@ class VPolytope:
     vertices: tuple[Point, ...]
 
     def __post_init__(self):
-        clean = _sorted_unique_points(self.vertices)
+        clean = tuple(sorted({tuple(map(_exact, p)) for p in self.vertices}))
         object.__setattr__(self, "vertices", clean)
         for p in clean:
             if len(p) != self.dim:
@@ -311,7 +304,9 @@ def vertex_enumeration(hp: HPolytope) -> VPolytope:
     raises ``UnboundedError`` when the feasible region has a recession
     direction, so the two degenerate outcomes are never confused.  A
     polytope built by ``with_halfspaces`` resumes DD from its base
-    polytope's cone and processes only the added halfspaces.
+    polytope's cone and processes only the added halfspaces.  A vertex
+    whose ray has y_0 = 1 keeps the ray's int coordinates; only the others
+    become ``Fraction``s.
     """
     d = hp.dim
     rays, _, lineality, _ = _dd_state(hp)
@@ -321,7 +316,8 @@ def vertex_enumeration(hp: HPolytope) -> VPolytope:
     if lineality or any(r[0] == 0 for r in rays):
         raise UnboundedError(
             f"polyhedron in R^{d} is unbounded; no vertex description exists")
-    points = [tuple(Fraction(v, r[0]) for v in r[1:]) for r in bounded_rays]
+    points = [r[1:] if r[0] == 1 else tuple(Fraction(v, r[0]) for v in r[1:])
+              for r in bounded_rays]
     return VPolytope(d, tuple(points))
 
 

@@ -25,14 +25,6 @@ TRIANGULATION = "triangulation"
 METHODS = (FORMULA, INCLUSION_EXCLUSION, TRIANGULATION)
 
 
-def degree_by_formula(group: Group, n: int) -> Fraction:
-    return degree_rational(group, n)
-
-
-def degree_by_assembly(group: Group, n: int) -> Fraction:
-    return assemble(group, n)
-
-
 def degree_by_triangulation(group: Group, n: int, *,
                             allow_big: bool = False) -> Fraction:
     """Degree as the lattice volume of the actual polytope.
@@ -48,9 +40,9 @@ def degree_by_triangulation(group: Group, n: int, *,
 def degree_by_method(group: Group, n: int, method: str, *,
                      allow_big: bool = False) -> Fraction:
     if method == FORMULA:
-        return degree_by_formula(group, n)
+        return degree_rational(group, n)
     if method == INCLUSION_EXCLUSION:
-        return degree_by_assembly(group, n)
+        return assemble(group, n)
     if method == TRIANGULATION:
         return degree_by_triangulation(group, n, allow_big=allow_big)
     known = ", ".join(METHODS)

@@ -19,8 +19,9 @@ the lattice of its hyperplane) and its neighbours across its ridges.  Then:
   neighbour G.  Their functional is the primitive part of
   h_G(p) * h_F - h_F(p) * h_G, which vanishes on R and at p, and their base
   volume is vol(F + p) / h_{R+p}(v), v the vertex of F off R;
-* the visible facets are connected across ridges, so once one is known
-  the others are found through neighbours.
+* the visible facets are connected across ridges, and one of them passes
+  through the point just before p in lex order, so a search through
+  neighbours from the facets through that point finds them all.
 
 Only the seed simplex is eliminated (``geometry.bareiss``): its adjugate
 gives the first d + 1 functionals and base volumes.  Any break of these
@@ -185,15 +186,15 @@ def triangulate(vp: VPolytope, *, allow_big: bool = False) -> Triangulation:
         if i in seed:
             continue
         p = ipts[i]
-        if i > seed[-1] + 1:
-            # p is lex-larger than every placed point, so it sees a facet
-            # through the lex-largest one, point i - 1: a facet made in the
-            # last round.
-            _mark_visible(p, i, fresh)
-        else:
-            for f in boundary.values():
-                if sum(map(mul, f.normal, p)) < f.offset:
-                    f.seen = i
+        # p sees a facet through point i - 1.  The placed points before p
+        # span an affine space that holds p; the seed points after p are
+        # independent of it, so the hull meets it in their hull, whose
+        # lex-largest point is i - 1, and p, lex-larger, is outside.  The
+        # facets through i - 1 are those made in the last round, unless
+        # i - 1 is a seed point.
+        if i - 1 in seed:
+            fresh = [f for f in boundary.values() if i - 1 in f.key]
+        _mark_visible(p, i, fresh)
         visible = [f for f in boundary.values() if f.seen == i]
         fresh = []
         # Ridges through p that one new facet has and its neighbour-to-be
@@ -273,11 +274,10 @@ def join_product(p1: VPolytope, p2: VPolytope) -> VPolytope:
     the factors' normalized volumes.
     """
     for p in (p1, p2):
-        origin = tuple(Fraction(0) for _ in range(p.dim))
-        if origin not in p.vertices:
+        if (0,) * p.dim not in p.vertices:
             raise ValueError("join factor does not have the origin as a vertex")
-    zeros1 = (Fraction(0),) * p1.dim
-    zeros2 = (Fraction(0),) * p2.dim
+    zeros1 = (0,) * p1.dim
+    zeros2 = (0,) * p2.dim
     points = [v + zeros2 for v in p1.vertices]
     points += [zeros1 + w for w in p2.vertices]
     return VPolytope(p1.dim + p2.dim, tuple(points))

@@ -178,7 +178,7 @@ def test_criterion_11_determinism_and_fault_injection(capsys, monkeypatch):
             outputs.append(done.stdout)
         assert outputs[0] == outputs[1]
 
-        monkeypatch.setattr(clawvol.verify, "degree_by_formula",
+        monkeypatch.setattr(clawvol.verify, "degree_rational",
                             lambda group, n: Fraction(999))
         broken = CliRunner().invoke(cli_main,
                                     ["verify", "--group", "z2", "--n", "3"])

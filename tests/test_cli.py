@@ -12,7 +12,6 @@ from click.testing import CliRunner
 
 import clawvol
 from clawvol.cli import main
-from clawvol.serialize import loads
 
 
 @pytest.fixture
@@ -61,7 +60,7 @@ def test_vertices_text_frozen(runner):
 def test_vertices_formats_parse_back(runner):
     as_json = invoke(runner, "vertices", "--group", "z3", "--n", "2",
                      "--format", "json")
-    doc = loads(as_json.stdout)
+    doc = json.loads(as_json.stdout)
     assert doc["kind"] == "vpolytope" and len(doc["vertices"]) == 3
 
     as_ext = invoke(runner, "vertices", "--group", "z3", "--n", "2",
@@ -90,7 +89,7 @@ def test_verify_text_and_json(runner):
 
     as_json = invoke(runner, "verify", "--group", "z2", "--n", "4",
                      "--format", "json")
-    doc = loads(as_json.stdout)
+    doc = json.loads(as_json.stdout)
     assert doc["kind"] == "verify" and doc["consistent"] is True
     assert doc["values"] == {
         "formula": "8", "inclusion-exclusion": "8", "triangulation": "8"}

@@ -5,7 +5,16 @@ from fractions import Fraction
 import pytest
 
 from clawvol import cuts
-from clawvol.clawpoly import ambient, model_lattice_index, subset_cut, tuple_cut
+from clawvol.clawpoly import (
+    MINUS,
+    PLUS,
+    ambient,
+    cut_halfspace,
+    facet_cuts,
+    model_lattice_index,
+    subset_cut,
+    tuple_cut,
+)
 from clawvol.cuts import (
     LEMMA_GROUPS,
     LEMMA_IDS,
@@ -17,7 +26,6 @@ from clawvol.cuts import (
     lemma_claims,
     piece_volume,
     run_lemma,
-    union_volume_by_regions,
 )
 from clawvol.formulas import degree_rational
 from clawvol.geometry import GuardRailError, vertex_enumeration
@@ -54,6 +62,27 @@ def test_assemble_matches_formula_through_n_40():
     for group in (Z2, Z2xZ2, Z3):
         for n in range(2, 41):
             assert assemble(group, n) == degree_rational(group, n)
+
+
+def union_volume_by_regions(group, n):
+    """Union volume of all facet-cut pieces by disjoint region accounting.
+
+    Splits the ambient along every facet cut: for each nonempty sign
+    pattern, the region inside exactly those minus sides (and the plus
+    sides of all other cuts) is measured, and the volumes are summed.
+    Exponential in the cut count, so only tiny n are sensible; this is the
+    independent check that the assembly's counting is right.
+    """
+    all_cuts = facet_cuts(group, n)
+    base = ambient(group, n)
+    total = F(0)
+    for pattern in range(1, 1 << len(all_cuts)):
+        rows = tuple(
+            cut_halfspace(c, MINUS if pattern >> i & 1 else PLUS)
+            for i, c in enumerate(all_cuts))
+        region = base.with_halfspaces(rows)
+        total += lattice_volume(vertex_enumeration(region))
+    return total
 
 
 @pytest.mark.parametrize(

@@ -8,9 +8,6 @@ from math import comb, factorial
 import pytest
 
 from clawvol.formulas import (
-    DEG_Z2,
-    DEG_Z2XZ2,
-    DEG_Z3,
     MAX_TABLE_N,
     FormulaError,
     Z2_CUT,
@@ -64,9 +61,9 @@ def test_cut_formulas_frozen():
     assert cut_formula(Z3_ONE_FACET, 3) == F(29, 4)
     assert cut_formula(Z3_TWO_FACET, 2) == 2
     assert cut_formula(Z3_TWO_FACET, 3) == F(5, 2)
-    assert cut_formula(DEG_Z2, 4) == 8
-    assert cut_formula(DEG_Z2XZ2, 3) == 96
-    assert cut_formula(DEG_Z3, 3) == 9
+    assert degree(Z2, 4) == 8
+    assert degree(Z2xZ2, 3) == 96
+    assert degree(Z3, 3) == 9
 
 
 def test_three_channel_formula():

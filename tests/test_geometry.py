@@ -7,10 +7,11 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from click.testing import CliRunner
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from clawvol import clawpoly, geometry
+from clawvol import cli, clawpoly, geometry
 from clawvol.cuts import CutSpec, cut_piece, lemma_claims, piece_vertices
 from clawvol.geometry import (
     HPolytope,
@@ -32,6 +33,7 @@ from clawvol.geometry import (
     _primitive,
     _scaled_integers,
 )
+from clawvol.serialize import dumps, vpolytope_to_doc, write_ext
 
 F = Fraction
 
@@ -121,6 +123,33 @@ def test_enumerate_cut_cube():
     cut = {p for p in vp.vertices if sum(p) == F(3, 2)}
     assert len(vp.vertices) == 10 and len(low) == 4 and len(cut) == 6
     assert pt(1, F(1, 2), 0) in cut
+
+
+def test_points_keep_int_and_fraction_coordinates(monkeypatch):
+    """Integral vertices stay ints, the others are Fractions, and either
+    spelling of a point gives the same polytope and the same bytes."""
+    hp = box((0, 1), (0, 1), (0, 1)).with_halfspaces(
+        (HalfSpace((2, 2, 2), 3),))
+    kinds = [{type(x) for x in p} for p in vertex_enumeration(hp).vertices]
+    assert kinds.count({int}) == 4 and kinds.count({Fraction}) == 6
+
+    ints = ((1, 0), (0, 0), (0, 1), (F(1, 2), 2))
+    fractions = tuple(pt(*p) for p in ints)
+    mixed = ((F(1), 0), (0, F(0)), (0, 1), (F(1, 2), F(2)), (1, F(0)))
+    polys = [VPolytope(2, points) for points in (ints, fractions, mixed)]
+    assert polys[0] == polys[1] == polys[2]
+    assert len({hash(vp) for vp in polys}) == 1
+    assert all(vp.vertices == ((0, 0), (0, 1), (F(1, 2), 2), (1, 0))
+               for vp in polys)
+
+    def render(vp):
+        monkeypatch.setattr(cli, "claw_vertices", lambda group, n: vp)
+        rows = CliRunner().invoke(cli.main,
+                                  ["vertices", "--group", "z2", "--n", "2"])
+        return dumps(vpolytope_to_doc(vp)), write_ext(vp), rows.stdout
+
+    assert render(polys[0]) == render(polys[1]) == render(polys[2])
+    assert render(polys[0])[2] == "0 0\n0 1\n1/2 2\n1 0\n"
 
 
 def test_enumerate_empty_and_unbounded():
