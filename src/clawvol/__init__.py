@@ -63,8 +63,6 @@ from .groups import (
 from .verify import METHODS, degree_by_method, verify_degree
 from .volume import (
     Triangulation,
-    join_product,
-    join_product_many,
     lattice_volume,
     triangulate,
 )
@@ -84,7 +82,6 @@ __all__ = [
     "GROUPS", "Group", "SymmetryAction", "Z2", "Z2xZ2", "Z3",
     "apply_action", "group_by_name", "random_action", "zero_sum_tuples",
     "METHODS", "degree_by_method", "verify_degree",
-    "Triangulation", "join_product", "join_product_many",
-    "lattice_volume", "triangulate",
+    "Triangulation", "lattice_volume", "triangulate",
     "__version__",
 ]

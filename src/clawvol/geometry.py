@@ -72,16 +72,21 @@ def _scaled_integers(values: Sequence[Fraction]) -> tuple[int, ...]:
 class HalfSpace:
     """Closed halfspace ``{x : <normal, x> <= offset}``.
 
-    Rational input is scaled once to the primitive integer row, sign kept,
-    so ``normal`` and ``offset`` are ints and a positive rescaling of a
-    halfspace compares equal to it.
+    Input is reduced once to the primitive integer row, sign kept, so
+    ``normal`` and ``offset`` are ints and a positive rescaling of a
+    halfspace compares equal to it.  An all-int row only needs its gcd
+    divided out; a rational one is scaled first.
     """
 
     normal: tuple[int, ...]
     offset: int
 
     def __post_init__(self):
-        row = _scaled_integers([*map(_exact, self.normal), _exact(self.offset)])
+        row = (*self.normal, self.offset)
+        if all(type(v) is int for v in row):
+            row = _primitive(row)
+        else:
+            row = _scaled_integers([*map(_exact, row)])
         object.__setattr__(self, "normal", row[:-1])
         object.__setattr__(self, "offset", row[-1])
 
@@ -370,9 +375,10 @@ def affine_dim(points: Sequence[Sequence]) -> int:
     """Dimension of the affine hull: -1 for no points, 0 for one point.
 
     The rank of the rows ``(1, p)``, each scaled to primitive integers, is
-    one more than the affine dimension.
+    one more than the affine dimension.  A row of ints is primitive already.
     """
-    rows = [list(_scaled_integers((1, *map(_exact, p)))) for p in points]
+    rows = [[1, *p] if all(type(v) is int for v in p)
+            else list(_scaled_integers((1, *map(_exact, p)))) for p in points]
     return len(bareiss(rows)[0]) - 1
 
 

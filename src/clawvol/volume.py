@@ -9,8 +9,9 @@ integers, so results are exact.
 
 The volume is summed while the simplices are built, beneath-beyond style
 (Büeler, Enge and Fukuda 2000).  Each boundary facet F keeps a primitive
-inward affine functional h_F, its base volume g_F (its normalized volume in
-the lattice of its hyperplane) and its neighbours across its ridges.  Then:
+inward affine functional h_F, stored as one homogeneous row and evaluated
+against (p, -1), its base volume g_F (its normalized volume in the lattice
+of its hyperplane) and its neighbours across its ridges.  Then:
 
 * a point p that sees F strictly adds the simplex F + p, a pyramid of
   normalized volume vol(F + p) = g_F * (-h_F(p)), the lattice height of p
@@ -21,7 +22,24 @@ the lattice of its hyperplane) and its neighbours across its ridges.  Then:
   volume is vol(F + p) / h_{R+p}(v), v the vertex of F off R;
 * the visible facets are connected across ridges, and one of them passes
   through the point just before p in lex order, so a search through
-  neighbours from the facets through that point finds them all.
+  neighbours from the facets through that point finds them all.  The search
+  keeps every h(p) it computes, so the cone step reuses h_F(p) and h_G(p).
+
+The bookkeeping follows the new-facet matching of Quickhull (Barber, Dobkin
+and Huhdanpaa 1996):
+
+* parent-position keys: the new facet made from F across the slot of v
+  keeps F's vertex positions with p in v's slot, so its key is built without
+  sorting and its neighbour across R is G at that same slot;
+* local pairing: two new facets made from the same F meet across the ridge
+  that omits both of the vertices they replace, so they are linked at known
+  slots.  Only a ridge whose other new facet comes from a different visible
+  facet waits in a dict keyed by the bitmask of its vertices;
+* creation order: every facet gets a serial when it is made.  The search
+  returns the visible facets sorted by it, and each visible facet's new
+  facets are made in the order of the vertices they replace, so the
+  simplices come out in the same order as from a scan of the boundary in
+  creation order.
 
 Only the seed simplex is eliminated (``geometry.bareiss``): its adjugate
 gives the first d + 1 functionals and base volumes.  Any break of these
@@ -38,7 +56,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import attrgetter, mul
 from typing import Iterable
 
 from .geometry import (
@@ -73,21 +91,21 @@ class Triangulation:
 class _Facet:
     """A boundary facet: vertex tuple, inward functional, base volume, neighbours.
 
-    The functional ``<normal, x> - offset`` is primitive, zero on the facet
-    and positive inside.  ``base`` is the facet's normalized volume in the
-    lattice of its hyperplane, and ``nbrs[j]`` is the facet across the ridge
-    that omits ``key[j]``.  ``seen`` is the last point that saw the facet.
+    ``key`` holds the vertex indices in parent-position order, not sorted.
+    ``h`` is the primitive homogeneous row ``(normal, offset)``: its dot
+    product with ``(x, -1)`` is zero on the facet and positive inside.
+    ``base`` is the facet's normalized volume in the lattice of its
+    hyperplane, and ``nbrs[j]`` is the facet across the ridge that omits
+    ``key[j]``.  ``serial`` counts facets in creation order.
     """
 
-    __slots__ = ("key", "normal", "offset", "base", "nbrs", "seen")
+    __slots__ = ("key", "h", "base", "nbrs", "serial")
 
-    def __init__(self, key, normal, offset, base):
+    def __init__(self, key, h, base, serial):
         self.key = key
-        self.normal = normal
-        self.offset = offset
+        self.h = h
         self.base = base
-        self.nbrs = [None] * len(key)
-        self.seen = -1
+        self.serial = serial
 
 
 def check_dimension_guard(dim: int, allow_big: bool) -> None:
@@ -109,27 +127,34 @@ def _check_guard(vp: VPolytope, allow_big: bool) -> None:
             f"{MAX_VERTICES} (pass the override to force)")
 
 
-def _mark_visible(p: tuple[int, ...], i: int, start: list[_Facet]) -> None:
-    """Mark with i every boundary facet that p sees strictly.
+def _mark_visible(p: tuple[int, ...], start: Iterable[_Facet]
+                  ) -> tuple[list[_Facet], dict[_Facet, int]]:
+    """The boundary facets that p sees strictly, in creation order.
 
-    ``start`` must hold one of them.  They are connected across ridges, so a
-    search through neighbours finds the rest.
+    ``p`` is homogeneous, ``(x, -1)``.  ``start`` must hold a visible facet.
+    The visible facets are connected across ridges, so a search through
+    neighbours finds the rest.  The dict returned holds h_F(p) for every
+    facet the search evaluated: the visible facets, where it is negative,
+    and all their neighbours.
     """
-    todo = [f for f in start if sum(map(mul, f.normal, p)) < f.offset]
+    value = {}
+    todo = []
+    for f in start:
+        v = value[f] = sum(map(mul, f.h, p))
+        if v < 0:
+            todo.append(f)
     if not todo:
         raise AssertionError("no facet through the last point is visible")
-    for f in todo:
-        f.seen = i
-    hidden = set()
+    visible = todo[:]
     while todo:
         for g in todo.pop().nbrs:
-            if g.seen == i or g in hidden:
-                continue
-            if sum(map(mul, g.normal, p)) < g.offset:
-                g.seen = i
-                todo.append(g)
-            else:
-                hidden.add(g)
+            if g not in value:
+                v = value[g] = sum(map(mul, g.h, p))
+                if v < 0:
+                    todo.append(g)
+                    visible.append(g)
+    visible.sort(key=attrgetter("serial"))
+    return visible, value
 
 
 def triangulate(vp: VPolytope, *, allow_big: bool = False) -> Triangulation:
@@ -148,7 +173,7 @@ def triangulate(vp: VPolytope, *, allow_big: bool = False) -> Triangulation:
         return Triangulation(vp, (), Fraction(0))
 
     scale = math.lcm(*(v.denominator for p in pts for v in p))
-    ipts = [tuple(int(v * scale) for v in p) for p in pts]
+    ipts = [[v.numerator * (scale // v.denominator) for v in p] for p in pts]
 
     # Eliminate [B | I], B with columns (1, v).  B's pivot columns are the
     # greedy seed: the first point and each point that extends the affine
@@ -164,28 +189,30 @@ def triangulate(vp: VPolytope, *, allow_big: bool = False) -> Triangulation:
     if pivots[-1] >= count:
         return Triangulation(vp, (), Fraction(0))
 
+    hpts = [(*p, -1) for p in ipts]
     seed = tuple(pivots)
     sign = 1 if last > 0 else -1
     total = abs(last)
     simplices = [seed]
-    # Boundary facets in creation order.  A facet enters the boundary with
-    # its first owning simplex and leaves for good when a second one covers
-    # it, so its orientation never changes.
-    boundary: dict[tuple[int, ...], _Facet] = {}
+    # The live boundary by serial.  A facet enters it with its first owning
+    # simplex and leaves for good when a second one covers it, so its
+    # orientation never changes.
+    boundary: dict[int, _Facet] = {}
     for k in range(d + 1):
         adj = [sign * v for v in rows[k][count:]]
         g = math.gcd(*adj)
-        key = seed[:k] + seed[k + 1:]
-        boundary[key] = _Facet(key, tuple(v // g for v in adj[1:]), -adj[0] // g, g)
+        h = tuple(v // g for v in (*adj[1:], -adj[0]))
+        boundary[k] = _Facet(seed[:k] + seed[k + 1:], h, g, k)
     fresh = list(boundary.values())
     for k, f in enumerate(fresh):
         f.nbrs = [fresh[j if j < k else j + 1] for j in range(d)]
+    serial = d + 1
 
     bits = [1 << j for j in range(count)]
     for i in range(count):
         if i in seed:
             continue
-        p = ipts[i]
+        p = hpts[i]
         # p sees a facet through point i - 1.  The placed points before p
         # span an affine space that holds p; the seed points after p are
         # independent of it, so the hull meets it in their hull, whose
@@ -194,52 +221,63 @@ def triangulate(vp: VPolytope, *, allow_big: bool = False) -> Triangulation:
         # i - 1 is a seed point.
         if i - 1 in seed:
             fresh = [f for f in boundary.values() if i - 1 in f.key]
-        _mark_visible(p, i, fresh)
-        visible = [f for f in boundary.values() if f.seen == i]
+        visible, value = _mark_visible(p, fresh)
         fresh = []
-        # Ridges through p that one new facet has and its neighbour-to-be
-        # has not yet claimed, keyed by the bitmask of their other vertices.
+        # Ridges through p whose two new facets come from different visible
+        # facets, keyed by the bitmask of their vertices other than p, until
+        # the second of the two claims the first.
         open_ridges: dict[int, tuple[_Facet, int]] = {}
         for f in visible:
             # The pyramid over f with apex p.
-            hf = sum(map(mul, f.normal, p)) - f.offset
+            hf = value[f]
             vol = -hf * f.base
             total += vol
-            simplices.append(tuple(sorted(f.key + (i,))))
-            del boundary[f.key]
-            mask = sum(map(bits.__getitem__, f.key))
-            for j, g in enumerate(f.nbrs):
-                if g.seen == i:
-                    continue
-                # The ridge between f and the hidden g is on the horizon:
-                # cone it to p.  The combination of the two functionals that
-                # vanishes at p is the new one, and f + p is a pyramid over
-                # the new facet with apex f.key[j], which gives its base.
-                hg = sum(map(mul, g.normal, p)) - g.offset
-                h = _primitive([hg * a - hf * b for a, b in zip(f.normal, g.normal)]
-                               + [hg * f.offset - hf * g.offset])
-                normal, offset = h[:-1], h[-1]
-                height = sum(map(mul, normal, ipts[f.key[j]])) - offset
+            key, fh, nbrs = f.key, f.h, f.nbrs
+            simplices.append(tuple(sorted(key + (i,))))
+            del boundary[f.serial]
+            # f's ridges to hidden neighbours are on the horizon: cone each
+            # to p, in the order of the vertex it omits.  The new facet keeps
+            # f's vertex positions with p in the omitted one's slot.  The
+            # combination of the two functionals that vanishes at p is its
+            # functional, and f + p is a pyramid over it with apex key[j],
+            # which gives its base.
+            horizon = [j for j, g in enumerate(nbrs) if value[g] >= 0]
+            horizon.sort(key=key.__getitem__)
+            made = [None] * d
+            for j in horizon:
+                g = nbrs[j]
+                hg = value[g]
+                h = _primitive([hg * a - hf * b for a, b in zip(fh, g.h)])
+                height = sum(map(mul, h, hpts[key[j]]))
                 if height <= 0 or vol % height:
                     raise AssertionError("degenerate simplex in triangulation")
-                key = tuple(sorted(f.key[:j] + f.key[j + 1:] + (i,)))
-                new = _Facet(key, normal, offset, vol // height)
-                boundary[key] = new
-                fresh.append(new)
-                new.nbrs[key.index(i)] = g
+                new = _Facet(key[:j] + (i,) + key[j + 1:], h, vol // height, serial)
+                boundary[serial] = made[j] = new
+                serial += 1
                 g.nbrs[g.nbrs.index(f)] = new
-                ridge = mask ^ bits[f.key[j]]
-                for m, u in enumerate(key):
-                    if u == i:
-                        continue
-                    rest = ridge ^ bits[u]
+                fresh.append(new)
+            # The new facets from f across slots j and m meet across the
+            # ridge that omits key[j] and key[m], so each one starts from
+            # ``made``, its siblings at their slots, with g at its own.
+            # Across a slot m whose neighbour is visible lies a new facet
+            # of another parent, matched through ``open_ridges``.
+            bit = list(map(bits.__getitem__, key))
+            mask = sum(bit)
+            inner = [m for m in range(d) if made[m] is None]
+            for j in horizon:
+                new = made[j]
+                new.nbrs = ring = made[:]
+                ring[j] = nbrs[j]
+                ridge = mask ^ bit[j]
+                for m in inner:
+                    rest = ridge ^ bit[m]
                     mate = open_ridges.pop(rest, None)
                     if mate is None:
                         open_ridges[rest] = (new, m)
                     else:
                         other, slot = mate
                         other.nbrs[slot] = new
-                        new.nbrs[m] = other
+                        ring[m] = other
         if open_ridges:
             raise AssertionError("unpaired ridge in triangulation")
         for f in visible:
@@ -264,31 +302,3 @@ def lattice_volume(vp: VPolytope, basis: LatticeBasis | None = None, *,
     if basis is None:
         return vol
     return vol / lattice_index(basis)
-
-
-def join_product(p1: VPolytope, p2: VPolytope) -> VPolytope:
-    """Free sum conv(P1 x {0} union {0} x P2) in R^{dim1 + dim2}.
-
-    Both factors must have the origin among their vertices; with both
-    full-dimensional, the normalized volume of the result is the product of
-    the factors' normalized volumes.
-    """
-    for p in (p1, p2):
-        if (0,) * p.dim not in p.vertices:
-            raise ValueError("join factor does not have the origin as a vertex")
-    zeros1 = (0,) * p1.dim
-    zeros2 = (0,) * p2.dim
-    points = [v + zeros2 for v in p1.vertices]
-    points += [zeros1 + w for w in p2.vertices]
-    return VPolytope(p1.dim + p2.dim, tuple(points))
-
-
-def join_product_many(factors: Iterable[VPolytope]) -> VPolytope:
-    """Iterated free sum over a nonempty sequence of factors."""
-    factors = list(factors)
-    if not factors:
-        raise ValueError("need at least one factor")
-    result = factors[0]
-    for f in factors[1:]:
-        result = join_product(result, f)
-    return result

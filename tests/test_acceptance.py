@@ -29,7 +29,8 @@ from clawvol.formulas import degree_rational
 from clawvol.geometry import VPolytope, lattice_index, vh_consistent
 from clawvol.groups import GROUPS, Z2, Z2xZ2, Z3, apply_action, random_action
 from clawvol.verify import METHODS, degree_by_method
-from clawvol.volume import join_product_many, lattice_volume
+from clawvol.volume import lattice_volume
+from joins import join_product_many
 
 
 @contextlib.contextmanager

@@ -16,12 +16,11 @@ from clawvol.geometry import GuardRailError, VPolytope, affine_dim, bareiss
 from clawvol.groups import GROUPS
 from clawvol.volume import (
     Triangulation,
-    join_product,
-    join_product_many,
     lattice_volume,
     triangulate,
     triangulation_lattice_volume,
 )
+from joins import join_product, join_product_many
 
 F = Fraction
 
@@ -133,33 +132,49 @@ def test_triangulation_accessors():
 
 
 CROSS_PAIR = "z2z2-cross-channel-pair-volume"
+SINGLE = "z2z2-single-cut-volume"
+TRIPLE = "z2z2-triple-channel-volume"
+Z3_SINGLE = "z3-single-cut-volume"
+Z3_CROSS_PAIR = "z3-cross-channel-pair-volume"
 
 
 # The simplex tuples themselves are pinned by the sha256 of their repr.
+# A piece is given by its claim family and claim index.
 @pytest.mark.parametrize("group,n,piece,count,digest", [
     ("z2", 6, None, 344, "06391087786b1852d6068e4cac04e519be54b5914b33932e1dca6eb8acd56e77"),
     ("z2", 7, None, 2487, "d71b75ceeca8212ae1d1d611508535a35c8f05a04ced794ae201d61c457bddbe"),
     ("z3", 3, None, 9, "7df8c050efd9c913cfdc10be8e915b3ff9a8e7f8641c5ef6c592eb5bff6e4455"),
     ("z3", 4, None, 660, "9395687eac8cf7b54bde0ef56902a7b9fcef0199b2be2e6f272e87dbb6ad0aa0"),
     ("z2xz2", 3, None, 95, "47a34b354a5f3d1ac96c0193ccb4674d642ede1c05f4066b61c381ffb35c7f72"),
-    # Pieces of the cross-channel pair claim at n=3, by claim index.
-    ("z2xz2", 3, 0, 234, "da892a38141615c450fc5ddc8bba7c6ddc93b542657c217927a38d68c643caee"),
-    ("z2xz2", 3, 20, 202, "4e526b9c0945bd9a822032ffe0419cd49554767304e4778c3f0d9c1c61e610f9"),
-    ("z2xz2", 3, 40, 140, "72387683fde5ca3737b011ed1132be88373b5b45a528ff29a2f64c86c56b122f"),
-    ("z2xz2", 3, 60, 194, "5b95203d254049b4e42c8f74e42b380e713fba8da1c1ee18a7aa04b7eb0c52f9"),
-    ("z2xz2", 3, 80, 227, "09884999b8448df2833797bd0d35e682b65ea99ea0969401f5f9a3ddc69f7316"),
-    ("z2xz2", 3, 100, 237, "5fe274139f21906c8d4d3bebf283253e7d85464ed0929437201e6a5944c21287"),
-    ("z2xz2", 3, 120, 239, "3a9326534544d7f2350ed5858160c8d4433ceeff00fefca1dd2cd50754f37000"),
-    ("z2xz2", 3, 140, 237, "cdc2a0a3f43f7bcb7144ca523e888455043dbc9b29eba756ea32360dd12ee333"),
-    ("z2xz2", 3, 160, 252, "2ffdcd316c17a04f3970421775d5297173eecea1eb7a70f2a54675f1c5e6c412"),
-    ("z2xz2", 3, 180, 227, "875340119a21a582df19917c3cce71eeb2294785ad642ee3c4f7df58b304759e"),
+    ("z2xz2", 3, (CROSS_PAIR, 0), 234, "da892a38141615c450fc5ddc8bba7c6ddc93b542657c217927a38d68c643caee"),
+    ("z2xz2", 3, (CROSS_PAIR, 20), 202, "4e526b9c0945bd9a822032ffe0419cd49554767304e4778c3f0d9c1c61e610f9"),
+    ("z2xz2", 3, (CROSS_PAIR, 40), 140, "72387683fde5ca3737b011ed1132be88373b5b45a528ff29a2f64c86c56b122f"),
+    ("z2xz2", 3, (CROSS_PAIR, 60), 194, "5b95203d254049b4e42c8f74e42b380e713fba8da1c1ee18a7aa04b7eb0c52f9"),
+    ("z2xz2", 3, (CROSS_PAIR, 80), 227, "09884999b8448df2833797bd0d35e682b65ea99ea0969401f5f9a3ddc69f7316"),
+    ("z2xz2", 3, (CROSS_PAIR, 100), 237, "5fe274139f21906c8d4d3bebf283253e7d85464ed0929437201e6a5944c21287"),
+    ("z2xz2", 3, (CROSS_PAIR, 120), 239, "3a9326534544d7f2350ed5858160c8d4433ceeff00fefca1dd2cd50754f37000"),
+    ("z2xz2", 3, (CROSS_PAIR, 140), 237, "cdc2a0a3f43f7bcb7144ca523e888455043dbc9b29eba756ea32360dd12ee333"),
+    ("z2xz2", 3, (CROSS_PAIR, 160), 252, "2ffdcd316c17a04f3970421775d5297173eecea1eb7a70f2a54675f1c5e6c412"),
+    ("z2xz2", 3, (CROSS_PAIR, 180), 227, "875340119a21a582df19917c3cce71eeb2294785ad642ee3c4f7df58b304759e"),
+    ("z2xz2", 3, (SINGLE, 0), 172, "69ac19f3caffbfdc68f1eeb43b3e623a4482fdcf8c6697c7e2afe58dd2a8ffd6"),
+    ("z2xz2", 3, (TRIPLE, 0), 33, "672fa0af788696e9278d27ea1cfd848835483aa9340e87d6fbcf379020318afc"),
+    ("z2xz2", 3, (TRIPLE, 5), 27, "2ce3bb138da64582e994fd6110c79595dda1a3a361fc856eecd8464b9e6e8eee"),
+    ("z3", 3, (Z3_SINGLE, 0), 32, "2529730c6caef61dfb7e1213943038c2f967a6bc27e919fe4803ab273167f281"),
+    ("z3", 3, (Z3_SINGLE, 5), 17, "74c6043f68345bf9195caa3978684410cf58263369191fec9c8ed26411a13a90"),
+    ("z3", 3, (Z3_CROSS_PAIR, 0), 8, "ef7247053efcd5c5a2f66e7e6ace17698c38c49952b148c2a3b41c2858cca34a"),
+    ("z3", 3, (Z3_CROSS_PAIR, 9), 6, "bf943bb5033f0e24093b01bdb1028b791f83ea127465fc766df21b4142165b26"),
 ], ids=("z2-6", "z2-7", "z3-3", "z3-4", "z2xz2-3",
-        *(f"cross-pair-3-{k}" for k in range(0, 200, 20))))
+        *(f"cross-pair-3-{k}" for k in range(0, 200, 20)),
+        "single-3-0", "triple-3-0", "triple-3-5", "z3-single-3-0", "z3-single-3-5",
+        "z3-cross-pair-3-0", "z3-cross-pair-3-9"))
 def test_claw_simplex_counts_frozen(group, n, piece, count, digest):
     if piece is None:
         vp = vertices(GROUPS[group], n)
     else:
-        vp = piece_vertices(lemma_claims(CROSS_PAIR, n)[piece].spec)
+        lemma, index = piece
+        claim = lemma_claims(lemma, n)[index]
+        assert claim.spec.group is GROUPS[group]
+        vp = piece_vertices(claim.spec)
     simplices = triangulate(vp).simplices
     assert len(simplices) == count
     assert hashlib.sha256(repr(simplices).encode()).hexdigest() == digest
