@@ -2,9 +2,9 @@
 
 The package builds the 0/1 model polytopes for the groups Z2, Z2xZ2, and
 Z3 on an n-claw tree, and computes their normalized lattice volume three
-independent ways: closed-form formulas, arithmetic assembly from cut-piece
-volumes, and brute-force exact geometry (vertex enumeration plus placing
-triangulation over the rationals).
+ways: closed-form formulas, arithmetic assembly from cut-piece volumes, and
+brute-force exact geometry (vertex enumeration plus placing triangulation
+over the rationals).  The first two share the Z2xZ2 alternating sum.
 """
 
 from .clawpoly import (
@@ -46,7 +46,6 @@ from .geometry import (
     affine_dim,
     lattice_index,
     vertex_enumeration,
-    vh_consistent,
 )
 from .groups import (
     GROUPS,
@@ -78,7 +77,7 @@ __all__ = [
     "FORMULA_TAGS", "FormulaError", "cut_formula", "degree", "degree_table",
     "GeometryError", "GuardRailError", "HPolytope", "HalfSpace",
     "LatticeBasis", "RankDeficientError", "UnboundedError", "VPolytope",
-    "affine_dim", "lattice_index", "vertex_enumeration", "vh_consistent",
+    "affine_dim", "lattice_index", "vertex_enumeration",
     "GROUPS", "Group", "SymmetryAction", "Z2", "Z2xZ2", "Z3",
     "apply_action", "group_by_name", "random_action", "zero_sum_tuples",
     "METHODS", "degree_by_method", "verify_degree",

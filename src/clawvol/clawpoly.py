@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .geometry import HalfSpace, HPolytope, LatticeBasis, VPolytope
 from .groups import Group, Z2, Z2xZ2, Z3, zero_sum_tuples
@@ -132,6 +132,20 @@ def s_coefficients(cut: OddSubsetCut) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
+def _mask_positions(mask: int) -> tuple[int, ...]:
+    """The positions in [n] of a subset given as a bitmask, bit 0 being 1."""
+    return tuple(j + 1 for j in range(mask.bit_length()) if mask >> j & 1)
+
+
+def z3_tuples(n: int) -> Iterator[tuple[int, ...]]:
+    return itertools.product((0, 1, 2), repeat=n)
+
+
+def z3_facet_tuples(n: int) -> list[tuple[int, ...]]:
+    """Digit tuples with sum 2 mod 3, in lexicographic order."""
+    return [t for t in z3_tuples(n) if sum(t) % 3 == 2]
+
+
 MINUS = "minus"
 PLUS = "plus"
 
@@ -198,16 +212,14 @@ def facet_cuts(group: Group, n: int) -> tuple[OddSubsetCut, ...]:
     cuts = []
     if group is Z3:
         for channel in (1, 2):
-            for digits in itertools.product((0, 1, 2), repeat=n):
-                if sum(digits) % 3 == 2:
-                    cuts.append(tuple_cut(n, digits, channel))
+            for digits in z3_facet_tuples(n):
+                cuts.append(tuple_cut(n, digits, channel))
         return tuple(cuts)
     channels = (1,) if group is Z2 else (1, 2, 3)
     for channel in channels:
         for mask in range(1, 1 << n):
             if bin(mask).count("1") % 2 == 1:
-                positions = [j + 1 for j in range(n) if mask >> j & 1]
-                cuts.append(subset_cut(group, n, positions, channel))
+                cuts.append(subset_cut(group, n, _mask_positions(mask), channel))
     return tuple(cuts)
 
 

@@ -18,7 +18,6 @@ Claim kinds:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -28,12 +27,16 @@ from .clawpoly import (
     MINUS,
     PLUS,
     OddSubsetCut,
+    _check_n,
+    _mask_positions,
     ambient,
     ambient_dim,
     cut_halfspace,
     model_lattice_index,
     subset_cut,
     tuple_cut,
+    z3_facet_tuples,
+    z3_tuples,
 )
 from .formulas import (
     Z22_ONE_FACET,
@@ -102,8 +105,7 @@ def assemble(group: Group, n: int) -> Fraction:
     pairs, and n*4^(n-1) surviving channel triples; Z3 takes 2*3^(n-1)
     single pieces corrected by n*3^(n-1) cross-channel pairs.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    _check_n(n)
     if group is Z2:
         box = Fraction(factorial(n))
         union = 2 ** (n - 1) * cut_formula(Z2_CUT, n)
@@ -120,35 +122,8 @@ def assemble(group: Group, n: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Subset and digit-tuple combinatorics
+# Digit-tuple combinatorics
 # ---------------------------------------------------------------------------
-
-def delta_mask(a: int, b: int, c: int) -> int:
-    """Bitmask version of the three-set difference used by the triple lemma."""
-    return (a & ~(b | c)) | (b & ~(a | c)) | (c & ~(a | b)) | (a & b & c)
-
-
-def count_singleton_delta_triples(n: int) -> int:
-    """#{(A,B,C) odd subsets of [n] : |delta(A,B,C)| = 1}, exhaustively."""
-    odd = [m for m in range(1 << n) if bin(m).count("1") % 2 == 1]
-    return sum(
-        1
-        for a in odd for b in odd for c in odd
-        if bin(delta_mask(a, b, c)).count("1") == 1
-    )
-
-
-def _mask_positions(mask: int) -> tuple[int, ...]:
-    return tuple(j + 1 for j in range(mask.bit_length()) if mask >> j & 1)
-
-
-def z3_tuples(n: int) -> Iterator[tuple[int, ...]]:
-    return itertools.product((0, 1, 2), repeat=n)
-
-
-def z3_facet_tuples(n: int) -> list[tuple[int, ...]]:
-    return [t for t in z3_tuples(n) if sum(t) % 3 == 2]
-
 
 def z3_diff_count(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(1 for x, y in zip(a, b) if x != y)
@@ -374,21 +349,17 @@ def lemma_claims(lemma_id: str, n: int) -> tuple[LemmaClaim, ...]:
 def check_lemma(claim: LemmaClaim, *, allow_big: bool = False) -> Verdict:
     """Decide one claim against the exact geometry oracle."""
     spec = claim.spec
-    dim = ambient_dim(spec.group, spec.n)
     if claim.kind == VOLUME:
-        check_dimension_guard(dim, allow_big)
-    verts = piece_vertices(spec)
-
-    if claim.kind == VOLUME:
-        computed = lattice_volume(verts, allow_big=allow_big)
+        computed = piece_volume(spec, allow_big=allow_big)
         return Verdict(computed == claim.expected,
                        str(claim.expected), str(computed))
 
+    verts = piece_vertices(spec)
     if claim.kind == FLAT:
         if verts.is_empty():
             return Verdict(True, "flat", "empty")
         ad = affine_dim(verts.vertices)
-        return Verdict(ad < dim, "flat", f"dim={ad}")
+        return Verdict(ad < ambient_dim(spec.group, spec.n), "flat", f"dim={ad}")
 
     if claim.kind == CONTAINED_EXISTS:
         other = 2 if spec.cuts[0].channel == 1 else 1

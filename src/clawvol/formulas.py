@@ -16,6 +16,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Iterable
 
+from .clawpoly import _check_n
 from .geometry import GuardRailError
 from .groups import Group, Z2, Z3
 
@@ -34,11 +35,6 @@ FORMULA_TAGS = (
 
 class FormulaError(Exception):
     """A formula produced a non-integral value where an integer is required."""
-
-
-def _check_n(n: int) -> None:
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
 
 
 def pow2_quotient(value: int, k: int) -> int:

@@ -327,7 +327,7 @@ def vertex_enumeration(hp: HPolytope) -> VPolytope:
 
 
 # ---------------------------------------------------------------------------
-# Rank, affine dimension, V/H agreement
+# Rank and affine dimension
 # ---------------------------------------------------------------------------
 
 def bareiss(rows: list[list[int]]) -> tuple[list[int], int]:
@@ -382,32 +382,21 @@ def affine_dim(points: Sequence[Sequence]) -> int:
     return len(bareiss(rows)[0]) - 1
 
 
-def vh_consistent(vp: VPolytope, hp: HPolytope) -> bool:
-    """Do the two descriptions define the same polytope?
-
-    True when every stored point satisfies all halfspaces, so conv(vp) lies
-    in ``hp``, and every vertex of ``hp`` is a stored point, so ``hp`` lies
-    in conv(vp).  Stored points that are not extreme are allowed.
-    """
-    if vp.dim != hp.dim:
-        return False
-    if not all(hp.contains(p) for p in vp.vertices):
-        return False
-    return set(vertex_enumeration(hp).vertices) <= set(vp.vertices)
-
-
 # ---------------------------------------------------------------------------
 # Lattices
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class LatticeBasis:
-    """Generators (rows, integer entries) of a finite-index sublattice of Z^dim."""
+    """A basis (rows, integer entries) of a sublattice of Z^dim: dim rows."""
 
     dim: int
     generators: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if len(self.generators) != self.dim:
+            raise ValueError(f"a basis of Z^{self.dim} needs {self.dim} rows, "
+                             f"got {len(self.generators)}")
         gens = []
         for row in self.generators:
             if len(row) != self.dim:
@@ -422,48 +411,16 @@ class LatticeBasis:
         object.__setattr__(self, "generators", tuple(gens))
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return ``(g, x, y)`` with ``a*x + b*y == g == gcd(a, b)``."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
 def lattice_index(basis: LatticeBasis) -> int:
-    """Index in Z^dim of the sublattice spanned by the generators.
+    """Index in Z^dim of the sublattice spanned by the basis rows.
 
-    Integer row reduction with unimodular operations; the index is the
-    product of the pivots of the resulting triangular form.  Raises
-    ``RankDeficientError`` when the generators do not span R^dim.
+    The index is |det| of the square basis matrix, which ``bareiss`` leaves
+    as its last pivot up to sign.  Raises ``RankDeficientError`` when the
+    rows do not span R^dim.
     """
     d = basis.dim
-    rows = [list(r) for r in basis.generators]
-    pivots = []
-    top = 0
-    for col in range(d):
-        found = next((i for i in range(top, len(rows)) if rows[i][col]), None)
-        if found is None:
-            continue
-        rows[top], rows[found] = rows[found], rows[top]
-        for i in range(top + 1, len(rows)):
-            a, b = rows[top][col], rows[i][col]
-            if b == 0:
-                continue
-            g, x, y = _xgcd(a, b)
-            ag, bg = a // g, b // g
-            rows[top], rows[i] = (
-                [x * u + y * v for u, v in zip(rows[top], rows[i])],
-                [-bg * u + ag * v for u, v in zip(rows[top], rows[i])],
-            )
-        pivots.append(abs(rows[top][col]))
-        top += 1
+    pivots, last = bareiss([list(r) for r in basis.generators])
     if len(pivots) < d:
         raise RankDeficientError(
             f"generators span rank {len(pivots)} < ambient dimension {d}")
-    return math.prod(pivots)
+    return abs(last)

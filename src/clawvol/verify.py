@@ -2,9 +2,11 @@
 
 Three ways to the same number: closed-form evaluation, arithmetic assembly
 from cut-piece volumes, and brute-force geometry (enumerate vertices,
-triangulate, measure in the model lattice).  They share no code beyond
-exact rationals, so agreement is strong evidence and disagreement is a
-bug somewhere specific.
+triangulate, measure in the model lattice).  Agreement is strong evidence
+and disagreement is a bug somewhere specific, with one gap: for Z2xZ2 the
+first two routes share ``formulas._alternating_factorial_sum``, so a slip
+in that sum would make them agree on a wrong value.  The geometric route
+shares no arithmetic with the other two.
 """
 
 from __future__ import annotations

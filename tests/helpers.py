@@ -1,0 +1,32 @@
+"""Checks that only the tests use: V/H agreement and the triple-lemma count."""
+
+from clawvol.geometry import HPolytope, VPolytope, vertex_enumeration
+
+
+def vh_consistent(vp: VPolytope, hp: HPolytope) -> bool:
+    """Do the two descriptions define the same polytope?
+
+    True when every stored point satisfies all halfspaces, so conv(vp) lies
+    in ``hp``, and every vertex of ``hp`` is a stored point, so ``hp`` lies
+    in conv(vp).  Stored points that are not extreme are allowed.
+    """
+    if vp.dim != hp.dim:
+        return False
+    if not all(hp.contains(p) for p in vp.vertices):
+        return False
+    return set(vertex_enumeration(hp).vertices) <= set(vp.vertices)
+
+
+def delta_mask(a: int, b: int, c: int) -> int:
+    """Bitmask version of the three-set difference used by the triple lemma."""
+    return (a & ~(b | c)) | (b & ~(a | c)) | (c & ~(a | b)) | (a & b & c)
+
+
+def count_singleton_delta_triples(n: int) -> int:
+    """#{(A,B,C) odd subsets of [n] : |delta(A,B,C)| = 1}, exhaustively."""
+    odd = [m for m in range(1 << n) if bin(m).count("1") % 2 == 1]
+    return sum(
+        1
+        for a in odd for b in odd for c in odd
+        if bin(delta_mask(a, b, c)).count("1") == 1
+    )

@@ -19,17 +19,13 @@ from click.testing import CliRunner
 import clawvol.verify
 from clawvol.cli import main as cli_main
 from clawvol.clawpoly import facets, lattice, vertices
-from clawvol.cuts import (
-    LEMMA_GROUPS,
-    LEMMA_IDS,
-    count_singleton_delta_triples,
-    run_lemma,
-)
+from clawvol.cuts import LEMMA_GROUPS, LEMMA_IDS, run_lemma
 from clawvol.formulas import degree_rational
-from clawvol.geometry import VPolytope, lattice_index, vh_consistent
+from clawvol.geometry import VPolytope, lattice_index
 from clawvol.groups import GROUPS, Z2, Z2xZ2, Z3, apply_action, random_action
 from clawvol.verify import METHODS, degree_by_method
 from clawvol.volume import lattice_volume
+from helpers import count_singleton_delta_triples, vh_consistent
 from joins import join_product_many
 
 

@@ -1,5 +1,6 @@
 """End-to-end command behavior: output bytes, exit codes, guard rails."""
 
+import hashlib
 import json
 import os
 import re
@@ -236,3 +237,115 @@ def test_repeated_runs_are_byte_identical(runner):
     second = invoke(runner, "verify", "--group", "z2", "--n", "3",
                     "--format", "json")
     assert first.stdout == second.stdout
+
+
+# sha256 of the stdout of each command, which must exit 0.  Output is
+# deterministic, so any change to its bytes fails here: every lemma family
+# at n=2 in both formats, vertices and facets in every format at n=3, and
+# verify's json at n=3.
+PINNED_STDOUT_SHA256 = {
+    "lemma --lemma z2-single-cut-simplex --n 2 --format text":
+        "26a7e01e38d0506117c03742f599e10a1dfd24e0d8b48a1906c857e788c8ff9c",
+    "lemma --lemma z2-single-cut-simplex --n 2 --format json":
+        "b0a356dd0cee65503847d17912b967d2e13dd0c31076bc0af79294458985e479",
+    "lemma --lemma z2-same-parity-pair-flat --n 2 --format text":
+        "c0d22a714d062ef470c23eff582ad76b676a1052c08964d5883d092a64ef23a6",
+    "lemma --lemma z2-same-parity-pair-flat --n 2 --format json":
+        "8a19c59b46723e6af8a39a35f12a022f58a100b5ea8a831ac50aed3499db5050",
+    "lemma --lemma z2z2-same-channel-pair-flat --n 2 --format text":
+        "e709dbe56e5a2068175169dea3f1e4b462b777f70e270c7079a59e056d905207",
+    "lemma --lemma z2z2-same-channel-pair-flat --n 2 --format json":
+        "a9de1ecf8db1a5004c0cb6228abe78b482be97d993321969a730d6404f19a608",
+    "lemma --lemma z2z2-cut-lattice-points --n 2 --format text":
+        "c1c0edfc8e8988fda12ecb0dec9caf192d736314fe3acb8a00d310142f94a845",
+    "lemma --lemma z2z2-cut-lattice-points --n 2 --format json":
+        "5d441af124b822ac814447b502af3eea6541cc2fff67a27f3a1ca5099ab78395",
+    "lemma --lemma z2z2-single-cut-volume --n 2 --format text":
+        "97da9e6caaccdda3559a2974981a164b900bb78bfba69bb870030c1d52026656",
+    "lemma --lemma z2z2-single-cut-volume --n 2 --format json":
+        "04a41056ac4f16cd4e34b358c4ebc2c6abf2d7d477322e1a8dd3eff2095041de",
+    "lemma --lemma z2z2-cross-channel-pair-volume --n 2 --format text":
+        "be72df643488504f338d90014fb421afa6b653c5404d634374068f3b8669776e",
+    "lemma --lemma z2z2-cross-channel-pair-volume --n 2 --format json":
+        "6201955586f74077f482f7e430684c32e4fddb469b0b6e4588d37cdae1263315",
+    "lemma --lemma z2z2-triple-channel-volume --n 2 --format text":
+        "ad89337ae43fd62d201c1ea709f6d3f1bfab124bd77d20df74526558c8e19c4d",
+    "lemma --lemma z2z2-triple-channel-volume --n 2 --format json":
+        "2a25813dec3c9db81d8eeae4335060d57c750383657f1b66c95339727d9531fb",
+    "lemma --lemma z3-far-same-channel-flat --n 2 --format text":
+        "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b",
+    "lemma --lemma z3-far-same-channel-flat --n 2 --format json":
+        "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+    "lemma --lemma z3-near-same-channel-contained --n 2 --format text":
+        "996fc1117d6c8ffb6c0a24da3ba25f419191bf4a843393abd3d0ffaa074dca73",
+    "lemma --lemma z3-near-same-channel-contained --n 2 --format json":
+        "33ad9b6b32819cf92356c5467d4dbc8ddbdca36d4bc5877f3b73248eb81fa691",
+    "lemma --lemma z3-cross-channel-flat --n 2 --format text":
+        "0430833ac3f6a68a65624f5923e2b7e574a93b9f7294299828a1d104bd28a1cc",
+    "lemma --lemma z3-cross-channel-flat --n 2 --format json":
+        "3bcc7173d7b598f62a23e554edbe05e2812d92bcea30ebdda6f115dd8a277b0c",
+    "lemma --lemma z3-double-pair-flat --n 2 --format text":
+        "83ea34130389745cb7184bc997331c48b5c1231e7403d44af1b937b2304da652",
+    "lemma --lemma z3-double-pair-flat --n 2 --format json":
+        "b13a4dea799987a74f629d1ea855161e37d777f16db4e897b593e4c637109042",
+    "lemma --lemma z3-single-cut-volume --n 2 --format text":
+        "f61536c13c92f4e26051882b52f28f4a7fbc78ddef2b43e7968d25b515583eac",
+    "lemma --lemma z3-single-cut-volume --n 2 --format json":
+        "94475467c0f7fa5d67fd52f346b905a29b3eca31bc463f51206fd010657b3635",
+    "lemma --lemma z3-cross-channel-pair-volume --n 2 --format text":
+        "48d535c2736205002710d3cdb57770b20030c3e2c22bbd05fd0ab575b78d99ae",
+    "lemma --lemma z3-cross-channel-pair-volume --n 2 --format json":
+        "6cc9a6bbcdc5f5a6c4d45e701851a58d847f3fb11242c6148e65ae04e5060822",
+    "vertices --group z2 --n 3 --format text":
+        "46601f988ef00c7481c78ee97386dfbbf489863c54efef415222ef603a0eb342",
+    "vertices --group z2 --n 3 --format json":
+        "f023ab3576c967aff2a11c127964d4a3463514178438ffc7c2522c44353a703b",
+    "vertices --group z2 --n 3 --format ext":
+        "b711d38afcf1815581814d331f134705070bb1c62c35adc48208b7e198dbfe16",
+    "facets --group z2 --n 3 --format text":
+        "2c47509f01c84dd6374fa7a9de14843da54d8d846a69ce4498b2fe28f5147fe0",
+    "facets --group z2 --n 3 --format json":
+        "4cec0886eedd0d42e67ccc9b58caa6db8b532212f94d0d0e7aaf44f7f9a93061",
+    "facets --group z2 --n 3 --format ine":
+        "c6a795929715e40850f0a110192c82035f8e5fbc258e05011b98d5b42097ee1c",
+    "vertices --group z2xz2 --n 3 --format text":
+        "27210d8b1a99e9e78f2b373b15b58a46b81aff5d0e54a9ba872411f61762a768",
+    "vertices --group z2xz2 --n 3 --format json":
+        "b24d2fa2995f0c7424730107e9d4fab4925c379bc40bf796676c28af8f9a2376",
+    "vertices --group z2xz2 --n 3 --format ext":
+        "d3e59fc3e411ee7ef6d0ac0525738c840b4711d8e0e1917c702939948ef575da",
+    "facets --group z2xz2 --n 3 --format text":
+        "6fcdb2e22b5e01bc07d00b03789556f68da45523d32bf5cb6b3dc5e1cb0c51bb",
+    "facets --group z2xz2 --n 3 --format json":
+        "05b491456c3f6176e0caf8aefee51c62f32dac3d14eceaa96381019e57f7b2a3",
+    "facets --group z2xz2 --n 3 --format ine":
+        "63d89a699a2253c211333263dab07e48389d3994d3e713e735b9cfba6be3deeb",
+    "vertices --group z3 --n 3 --format text":
+        "f5e222b91025f59192b1f669de80d7e70e76a206407e01d938dafcac75a2f652",
+    "vertices --group z3 --n 3 --format json":
+        "a2bcb2c0e553d701793e3c592b070a531c7fdec0e250238808dda8064a37c93e",
+    "vertices --group z3 --n 3 --format ext":
+        "cce46c81dfbf40440ccf57790adce18977b7ee20f0dac290fc59c499bcad7c8a",
+    "facets --group z3 --n 3 --format text":
+        "aac281aff8cc0006344dc409e31d43446c7115b71a58ef35da1b1993053d397d",
+    "facets --group z3 --n 3 --format json":
+        "162a5f2a9ae1dae544db46aca23a6175bf79593fc8ca970cbaedf8e535c39aea",
+    "facets --group z3 --n 3 --format ine":
+        "e6421a5f43940773f4e629dfda2cd05cb4a4d53cfee92f697ce3effd6be8a219",
+    "verify --group z2 --n 3 --format json":
+        "1060f9bc4564c334e28c64445af0eab05ec96a9d6f2ad4a1160a8c7d32b00061",
+    "verify --group z2xz2 --n 3 --format json":
+        "f3a22f4398dbdba501226180867918c204e5ae6b3592b7dc83893ade6164dbb3",
+    "verify --group z3 --n 3 --format json":
+        "6ed59a4c5bdf9d960b9fa599bc6ec939f804837169a772eb958307352de68554",
+}
+
+
+def test_stdout_pinned(runner):
+    changed = []
+    for command, digest in PINNED_STDOUT_SHA256.items():
+        result = invoke(runner, *command.split())
+        if (result.exit_code != 0
+                or hashlib.sha256(result.stdout_bytes).hexdigest() != digest):
+            changed.append(command)
+    assert not changed

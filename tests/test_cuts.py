@@ -21,8 +21,6 @@ from clawvol.cuts import (
     CutSpec,
     assemble,
     check_lemma,
-    count_singleton_delta_triples,
-    delta_mask,
     lemma_claims,
     piece_volume,
     run_lemma,
@@ -31,6 +29,7 @@ from clawvol.formulas import degree_rational
 from clawvol.geometry import GuardRailError, vertex_enumeration
 from clawvol.groups import Z2, Z2xZ2, Z3
 from clawvol.volume import lattice_volume
+from helpers import count_singleton_delta_triples, delta_mask
 
 F = Fraction
 

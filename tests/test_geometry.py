@@ -24,7 +24,6 @@ from clawvol.geometry import (
     bareiss,
     lattice_index,
     vertex_enumeration,
-    vh_consistent,
 )
 from clawvol.geometry import (
     _cone_rows,
@@ -34,6 +33,7 @@ from clawvol.geometry import (
     _scaled_integers,
 )
 from clawvol.serialize import dumps, vpolytope_to_doc, write_ext
+from helpers import vh_consistent
 
 F = Fraction
 
@@ -173,10 +173,10 @@ def test_affine_dim():
 
 
 @st.composite
-def int_matrices(draw, square=False, degenerate=True):
+def int_matrices(draw, square=False, degenerate=True, max_cols=5):
     """Small integer matrices; with ``degenerate``, rows are often replaced by
     a zero row, a copy of another row, or a combination of two others."""
-    ncols = draw(st.integers(1, 5))
+    ncols = draw(st.integers(1, max_cols))
     nrows = ncols if square else draw(st.integers(1, 6))
     entry = st.integers(-4, 4)
     rows = [draw(st.lists(entry, min_size=ncols, max_size=ncols))
@@ -257,10 +257,23 @@ def test_lattice_index():
     assert lattice_index(LatticeBasis(2, ((1, 0), (0, 1)))) == 1
     assert lattice_index(LatticeBasis(2, ((2, 0), (0, 3)))) == 6
     assert lattice_index(LatticeBasis(2, ((1, 2), (3, 4)))) == 2
-    # extra generators that stay in the same lattice do not change it
-    assert lattice_index(LatticeBasis(2, ((2, 0), (0, 3), (2, 3)))) == 6
+    # a basis has exactly dim rows; a generating set with more is refused
+    with pytest.raises(ValueError, match="needs 2 rows, got 3"):
+        LatticeBasis(2, ((2, 0), (0, 3), (2, 3)))
     with pytest.raises(RankDeficientError):
         lattice_index(LatticeBasis(2, ((1, 1), (2, 2))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrices(square=True, max_cols=6))
+def test_lattice_index_is_abs_determinant(rows):
+    det = sympy.Matrix(rows).det()
+    basis = LatticeBasis(len(rows), tuple(map(tuple, rows)))
+    if det == 0:
+        with pytest.raises(RankDeficientError):
+            lattice_index(basis)
+    else:
+        assert lattice_index(basis) == abs(det)
 
 
 def test_lattice_basis_validation():
