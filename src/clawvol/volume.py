@@ -2,49 +2,51 @@
 
 The triangulation strategy is fixed: vertices are taken in their canonical
 lexicographic order, a first full-dimensional simplex is built greedily, and
-every later point is attached by coning over the boundary facets it can see
-strictly.  Ties never arise because insertion order is the total lex order.
-Points are scaled to a common denominator and all arithmetic is on
+every later point is attached by coning over the boundary simplices it can
+see strictly.  Ties never arise because insertion order is the total lex
+order.  Points are scaled to a common denominator and all arithmetic is on
 integers, so results are exact.
 
-The volume is summed while the simplices are built, beneath-beyond style
-(Büeler, Enge and Fukuda 2000).  Each boundary facet F keeps a primitive
-inward affine functional h_F, stored as one homogeneous row and evaluated
-against (p, -1), its base volume g_F (its normalized volume in the lattice
-of its hyperplane) and its neighbours across its ridges.  Then:
+The boundary is kept as hull facets, beneath-beyond style (Joswig,
+"Beneath-and-beyond revisited", 2003).  A hull facet is a maximal set of
+coplanar boundary simplices; it holds its primitive inward affine
+functional h, stored as one homogeneous row and evaluated against (p, -1),
+a bit, and its boundary simplices with their creation serials and base
+volumes (normalized volumes in the lattice of the hyperplane).  Every placed
+point holds an incidence mask: the bits of the hull facets that contain it.
+A boundary simplex has its hull facet's functional, so each functional,
+visibility test and new facet is worked out once per hull facet.  Inserting
+a point p:
 
-* a point p that sees F strictly adds the simplex F + p, a pyramid of
-  normalized volume vol(F + p) = g_F * (-h_F(p)), the lattice height of p
-  over F times the base;
-* the new facets are R + p for each ridge R between a visible F and a hidden
-  neighbour G.  Their functional is the primitive part of
-  h_G(p) * h_F - h_F(p) * h_G, which vanishes on R and at p, and their base
-  volume is vol(F + p) / h_{R+p}(v), v the vertex of F off R;
-* the visible facets are connected across ridges, and one of them passes
-  through the point just before p in lex order, so a search through
-  neighbours from the facets through that point finds them all.  The search
-  keeps every h(p) it computes, so the cone step reuses h_F(p) and h_G(p).
+* p sees the hull facets F with h_F(p) < 0, and with them all their boundary
+  simplices.  Each such simplex f, taken in serial order, adds the simplex
+  f + p, a pyramid of normalized volume g_f * (-h_F(p)), the lattice height
+  of p over F times the base (Büeler, Enge and Fukuda 2000);
+* a ridge R of f lies in the hull facets whose bits are set in the masks of
+  all of R's vertices.  Apart from F, that is none when R is inside F, and
+  exactly one hull facet G when R is on F's boundary.  When G is visible
+  too, or R is inside F, R + p is not on the new boundary;
+* otherwise R + p is a new boundary simplex, taken in the order of the
+  vertex of f that R omits.  When p lies on G's hyperplane (h_G(p) = 0), it
+  joins G.  Else it joins the new hull facet of the pair (F, G), made once
+  per pair, whose functional is the primitive part of
+  h_G(p) * h_F - h_F(p) * h_G: it vanishes on F and G's common face and at
+  p.  Distinct pairs give distinct facets (Grünbaum's beneath-beyond
+  theorem).  Its base volume is vol(f + p) / h(v), h its hull facet's
+  functional and v the vertex of f off R;
+* a point's mask gains a facet's bit when it becomes a vertex of one of the
+  facet's simplices.  Ridges are tested only against the facets hidden
+  before p, so the facets made in a round are not seen in it.  At the end
+  of the round the visible facets are dropped, and their bits are cleared
+  from every mask and used again.
 
-The bookkeeping follows the new-facet matching of Quickhull (Barber, Dobkin
-and Huhdanpaa 1996):
-
-* parent-position keys: the new facet made from F across the slot of v
-  keeps F's vertex positions with p in v's slot, so its key is built without
-  sorting and its neighbour across R is G at that same slot;
-* local pairing: two new facets made from the same F meet across the ridge
-  that omits both of the vertices they replace, so they are linked at known
-  slots.  Only a ridge whose other new facet comes from a different visible
-  facet waits in a dict keyed by the bitmask of its vertices;
-* creation order: every facet gets a serial when it is made.  The search
-  returns the visible facets sorted by it, and each visible facet's new
-  facets are made in the order of the vertices they replace, so the
-  simplices come out in the same order as from a scan of the boundary in
-  creation order.
-
+Every boundary simplex gets a serial when it is made, so the simplices come
+out in the same order as from a scan of the boundary in creation order.
 Only the seed simplex is eliminated (``geometry.bareiss``): its adjugate
-gives the first d + 1 functionals and base volumes.  Any break of these
-invariants (a height that is not positive, a base volume that is not an
-integer, an unpaired ridge) raises ``AssertionError``.
+gives the first d + 1 functionals and base volumes.  Three checks raise
+``AssertionError``: a point that sees no hull facet, a ridge in more than
+one hull facet besides its own, and a simplex whose height is not positive
+or whose base volume is not an integer.
 
 Volume convention: ``lattice_volume`` in a lattice L of index k inside Z^d
 is ``d! * euclidean volume / k``; a polytope of deficient affine dimension
@@ -54,10 +56,10 @@ has volume 0.
 from __future__ import annotations
 
 import math
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter, mul
-from typing import Iterable
+from operator import itemgetter, mul
 
 from .geometry import (
     GuardRailError,
@@ -88,24 +90,23 @@ class Triangulation:
         return self.polytope.dim
 
 
-class _Facet:
-    """A boundary facet: vertex tuple, inward functional, base volume, neighbours.
+class _HullFacet:
+    """A facet of the current hull: inward functional, bit, boundary simplices.
 
-    ``key`` holds the vertex indices in parent-position order, not sorted.
     ``h`` is the primitive homogeneous row ``(normal, offset)``: its dot
     product with ``(x, -1)`` is zero on the facet and positive inside.
-    ``base`` is the facet's normalized volume in the lattice of its
-    hyperplane, and ``nbrs[j]`` is the facet across the ridge that omits
-    ``key[j]``.  ``serial`` counts facets in creation order.
+    ``bit`` is the index of the facet's bit in the points' incidence masks;
+    ``simplices`` lists the boundary simplices that make up the facet as
+    ``(serial, key, base)`` in serial order: ``key`` the sorted vertex
+    indices, ``base`` the normalized volume in the lattice of the hyperplane.
     """
 
-    __slots__ = ("key", "h", "base", "nbrs", "serial")
+    __slots__ = ("h", "bit", "simplices")
 
-    def __init__(self, key, h, base, serial):
-        self.key = key
+    def __init__(self, h, bit, simplices):
         self.h = h
-        self.base = base
-        self.serial = serial
+        self.bit = bit
+        self.simplices = simplices
 
 
 def check_dimension_guard(dim: int, allow_big: bool) -> None:
@@ -127,42 +128,12 @@ def _check_guard(vp: VPolytope, allow_big: bool) -> None:
             f"{MAX_VERTICES} (pass the override to force)")
 
 
-def _mark_visible(p: tuple[int, ...], start: Iterable[_Facet]
-                  ) -> tuple[list[_Facet], dict[_Facet, int]]:
-    """The boundary facets that p sees strictly, in creation order.
-
-    ``p`` is homogeneous, ``(x, -1)``.  ``start`` must hold a visible facet.
-    The visible facets are connected across ridges, so a search through
-    neighbours finds the rest.  The dict returned holds h_F(p) for every
-    facet the search evaluated: the visible facets, where it is negative,
-    and all their neighbours.
-    """
-    value = {}
-    todo = []
-    for f in start:
-        v = value[f] = sum(map(mul, f.h, p))
-        if v < 0:
-            todo.append(f)
-    if not todo:
-        raise AssertionError("no facet through the last point is visible")
-    visible = todo[:]
-    while todo:
-        for g in todo.pop().nbrs:
-            if g not in value:
-                v = value[g] = sum(map(mul, g.h, p))
-                if v < 0:
-                    todo.append(g)
-                    visible.append(g)
-    visible.sort(key=attrgetter("serial"))
-    return visible, value
-
-
 def triangulate(vp: VPolytope, *, allow_big: bool = False) -> Triangulation:
     """Deterministic placing triangulation of a V-polytope, with its volume.
 
     Points are inserted in lexicographic order after a greedy full-dimensional
     seed simplex; each insertion cones the new point over the strictly visible
-    boundary facets.  Returns an empty triangulation when the affine hull has
+    boundary simplices.  Returns an empty triangulation when the affine hull has
     deficient dimension.  Refuses oversized inputs unless ``allow_big``.
     """
     _check_guard(vp, allow_big)
@@ -194,96 +165,99 @@ def triangulate(vp: VPolytope, *, allow_big: bool = False) -> Triangulation:
     sign = 1 if last > 0 else -1
     total = abs(last)
     simplices = [seed]
-    # The live boundary by serial.  A facet enters it with its first owning
-    # simplex and leaves for good when a second one covers it, so its
-    # orientation never changes.
-    boundary: dict[int, _Facet] = {}
+    # The live hull facets by bit index, and for each point the bits of the
+    # live hull facets through it.  Bits of dropped facets are used again,
+    # lowest first, so the masks stay as short as the hull is large.
+    hull: dict[int, _HullFacet] = {}
+    incidence = [0] * count
     for k in range(d + 1):
         adj = [sign * v for v in rows[k][count:]]
         g = math.gcd(*adj)
         h = tuple(v // g for v in (*adj[1:], -adj[0]))
-        boundary[k] = _Facet(seed[:k] + seed[k + 1:], h, g, k)
-    fresh = list(boundary.values())
-    for k, f in enumerate(fresh):
-        f.nbrs = [fresh[j if j < k else j + 1] for j in range(d)]
+        key = seed[:k] + seed[k + 1:]
+        hull[k] = _HullFacet(h, k, [(k, key, g)])
+        for v in key:
+            incidence[v] |= 1 << k
     serial = d + 1
+    live = (1 << (d + 1)) - 1
 
-    bits = [1 << j for j in range(count)]
     for i in range(count):
         if i in seed:
             continue
         p = hpts[i]
-        # p sees a facet through point i - 1.  The placed points before p
-        # span an affine space that holds p; the seed points after p are
-        # independent of it, so the hull meets it in their hull, whose
-        # lex-largest point is i - 1, and p, lex-larger, is outside.  The
-        # facets through i - 1 are those made in the last round, unless
-        # i - 1 is a seed point.
-        if i - 1 in seed:
-            fresh = [f for f in boundary.values() if i - 1 in f.key]
-        visible, value = _mark_visible(p, fresh)
-        fresh = []
-        # Ridges through p whose two new facets come from different visible
-        # facets, keyed by the bitmask of their vertices other than p, until
-        # the second of the two claims the first.
-        open_ridges: dict[int, tuple[_Facet, int]] = {}
-        for f in visible:
-            # The pyramid over f with apex p.
-            hf = value[f]
-            vol = -hf * f.base
+        value = {k: sum(map(mul, f.h, p)) for k, f in hull.items()}
+        visible = [hull.pop(k) for k, v in value.items() if v < 0]
+        if not visible:
+            raise AssertionError("the new point sees no hull facet")
+        gone = sum(1 << f.bit for f in visible)
+        hidden = live ^ gone
+        # Every boundary simplex of a visible facet is visible, and they
+        # are coned to p in serial order.
+        todo = [(s, key, base, f) for f in visible for s, key, base in f.simplices]
+        todo.sort(key=itemgetter(0))
+        # The new hull facets by (visible, hidden) pair, and the heights
+        # of vertices over the facets that gain simplices: most new
+        # simplices share both with an earlier one of the round.
+        made: dict[tuple[int, int], _HullFacet] = {}
+        heights: dict[tuple[int, int], int] = {}
+        for _, key, base, f in todo:
+            hf = value[f.bit]
+            vol = -hf * base
             total += vol
-            key, fh, nbrs = f.key, f.h, f.nbrs
-            simplices.append(tuple(sorted(key + (i,))))
-            del boundary[f.serial]
-            # f's ridges to hidden neighbours are on the horizon: cone each
-            # to p, in the order of the vertex it omits.  The new facet keeps
-            # f's vertex positions with p in the omitted one's slot.  The
-            # combination of the two functionals that vanishes at p is its
-            # functional, and f + p is a pyramid over it with apex key[j],
-            # which gives its base.
-            horizon = [j for j, g in enumerate(nbrs) if value[g] >= 0]
-            horizon.sort(key=key.__getitem__)
-            made = [None] * d
-            for j in horizon:
-                g = nbrs[j]
-                hg = value[g]
-                h = _primitive([hg * a - hf * b for a, b in zip(fh, g.h)])
-                height = sum(map(mul, h, hpts[key[j]]))
+            q = bisect(key, i)
+            full = key[:q] + (i,) + key[q:]
+            simplices.append(full)
+            # The hull facets through the ridge that omits key[j]: the masks
+            # of all vertices but key[j], ANDed as a prefix times a suffix.
+            # Starting from the facets hidden before p leaves out the visible
+            # ones and those made in this round.
+            masks = [incidence[v] for v in key]
+            prefix = []
+            acc = hidden
+            for m in masks:
+                prefix.append(acc)
+                acc &= m
+            others = [0] * d
+            acc = -1
+            for j in range(d - 1, -1, -1):
+                others[j] = prefix[j] & acc
+                acc &= masks[j]
+            for j, other in enumerate(others):
+                if not other:
+                    continue
+                if other & (other - 1):
+                    raise AssertionError("a ridge lies in three hull facets")
+                k = other.bit_length() - 1
+                g = hull[k]
+                hg = value[k]
+                # p on G's hyperplane extends G; else F's and G's common
+                # face and p span a new facet, one per pair.
+                if hg == 0:
+                    target = g
+                else:
+                    target = made.get((f.bit, k))
+                    if target is None:
+                        h = _primitive([hg * a - hf * b for a, b in zip(f.h, g.h)])
+                        bit = (~live & (live + 1)).bit_length() - 1
+                        live |= 1 << bit
+                        target = made[f.bit, k] = _HullFacet(h, bit, [])
+                v = key[j]
+                height = heights.get((target.bit, v))
+                if height is None:
+                    height = heights[target.bit, v] = sum(map(mul, target.h, hpts[v]))
                 if height <= 0 or vol % height:
                     raise AssertionError("degenerate simplex in triangulation")
-                new = _Facet(key[:j] + (i,) + key[j + 1:], h, vol // height, serial)
-                boundary[serial] = made[j] = new
+                jj = j if j < q else j + 1
+                new = full[:jj] + full[jj + 1:]
+                target.simplices.append((serial, new, vol // height))
                 serial += 1
-                g.nbrs[g.nbrs.index(f)] = new
-                fresh.append(new)
-            # The new facets from f across slots j and m meet across the
-            # ridge that omits key[j] and key[m], so each one starts from
-            # ``made``, its siblings at their slots, with g at its own.
-            # Across a slot m whose neighbour is visible lies a new facet
-            # of another parent, matched through ``open_ridges``.
-            bit = list(map(bits.__getitem__, key))
-            mask = sum(bit)
-            inner = [m for m in range(d) if made[m] is None]
-            for j in horizon:
-                new = made[j]
-                new.nbrs = ring = made[:]
-                ring[j] = nbrs[j]
-                ridge = mask ^ bit[j]
-                for m in inner:
-                    rest = ridge ^ bit[m]
-                    mate = open_ridges.pop(rest, None)
-                    if mate is None:
-                        open_ridges[rest] = (new, m)
-                    else:
-                        other, slot = mate
-                        other.nbrs[slot] = new
-                        ring[m] = other
-        if open_ridges:
-            raise AssertionError("unpaired ridge in triangulation")
-        for f in visible:
-            f.nbrs = None  # drop the cycles among removed facets
-    for f in boundary.values():
-        f.nbrs = None  # and among the rest, so no garbage outlives the call
+                mark = 1 << target.bit
+                for v in new:
+                    incidence[v] |= mark
+        live ^= gone
+        incidence = [m & live for m in incidence]
+        for f in made.values():
+            hull[f.bit] = f
 
     return Triangulation(vp, tuple(simplices), Fraction(total, scale ** d))
 
@@ -296,6 +270,9 @@ def triangulation_lattice_volume(t: Triangulation) -> Fraction:
 def lattice_volume(vp: VPolytope, basis: LatticeBasis | None = None, *,
                    allow_big: bool = False) -> Fraction:
     """Normalized volume dim! * euclidean / index(basis); basis None means Z^dim."""
+    if basis is not None and basis.dim != vp.dim:
+        raise ValueError(f"a basis of Z^{basis.dim} does not measure a polytope "
+                         f"in R^{vp.dim}")
     if vp.is_empty():
         return Fraction(0)
     vol = triangulation_lattice_volume(triangulate(vp, allow_big=allow_big))

@@ -1,5 +1,6 @@
 """Triangulation, exact volumes, guard rails, and free sums."""
 
+import gc
 import hashlib
 import itertools
 import random
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clawvol import volume
 from clawvol.clawpoly import vertices
 from clawvol.cuts import lemma_claims, piece_vertices
 from clawvol.geometry import GuardRailError, VPolytope, affine_dim, bareiss
@@ -21,6 +23,7 @@ from clawvol.volume import (
     triangulation_lattice_volume,
 )
 from joins import join_product, join_product_many
+import placing_reference
 
 F = Fraction
 
@@ -88,6 +91,16 @@ def test_lattice_volume_with_basis():
     assert lattice_volume(cube(2), halved) == 1
 
 
+def test_lattice_volume_refuses_a_basis_of_another_dimension():
+    from clawvol.geometry import LatticeBasis
+
+    wide = LatticeBasis(3, ((5, 0, 0), (0, 1, 0), (0, 0, 1)))
+    with pytest.raises(ValueError, match="Z\\^3"):
+        lattice_volume(cube(2), wide)
+    with pytest.raises(ValueError, match="R\\^3"):
+        lattice_volume(VPolytope(3, ()), LatticeBasis(2, ((1, 0), (0, 1))))
+
+
 def test_join_product_basics():
     seg = VPolytope(1, (pt(0), pt(1)))
     tri = join_product(seg, seg)
@@ -143,8 +156,10 @@ Z3_CROSS_PAIR = "z3-cross-channel-pair-volume"
 @pytest.mark.parametrize("group,n,piece,count,digest", [
     ("z2", 6, None, 344, "06391087786b1852d6068e4cac04e519be54b5914b33932e1dca6eb8acd56e77"),
     ("z2", 7, None, 2487, "d71b75ceeca8212ae1d1d611508535a35c8f05a04ced794ae201d61c457bddbe"),
+    ("z2", 8, None, 20068, "3da2b15199cd1c34c59a5c4b1ab760d11c8402131c76fb332ca47071534d48e4"),
     ("z3", 3, None, 9, "7df8c050efd9c913cfdc10be8e915b3ff9a8e7f8641c5ef6c592eb5bff6e4455"),
     ("z3", 4, None, 660, "9395687eac8cf7b54bde0ef56902a7b9fcef0199b2be2e6f272e87dbb6ad0aa0"),
+    ("z3", 5, None, 36444, "262762b5f950b76255441525faa2f9813dcfad67928b2490fcdfe812b4984491"),
     ("z2xz2", 3, None, 95, "47a34b354a5f3d1ac96c0193ccb4674d642ede1c05f4066b61c381ffb35c7f72"),
     ("z2xz2", 3, (CROSS_PAIR, 0), 234, "da892a38141615c450fc5ddc8bba7c6ddc93b542657c217927a38d68c643caee"),
     ("z2xz2", 3, (CROSS_PAIR, 20), 202, "4e526b9c0945bd9a822032ffe0419cd49554767304e4778c3f0d9c1c61e610f9"),
@@ -163,7 +178,7 @@ Z3_CROSS_PAIR = "z3-cross-channel-pair-volume"
     ("z3", 3, (Z3_SINGLE, 5), 17, "74c6043f68345bf9195caa3978684410cf58263369191fec9c8ed26411a13a90"),
     ("z3", 3, (Z3_CROSS_PAIR, 0), 8, "ef7247053efcd5c5a2f66e7e6ace17698c38c49952b148c2a3b41c2858cca34a"),
     ("z3", 3, (Z3_CROSS_PAIR, 9), 6, "bf943bb5033f0e24093b01bdb1028b791f83ea127465fc766df21b4142165b26"),
-], ids=("z2-6", "z2-7", "z3-3", "z3-4", "z2xz2-3",
+], ids=("z2-6", "z2-7", "z2-8", "z3-3", "z3-4", "z3-5", "z2xz2-3",
         *(f"cross-pair-3-{k}" for k in range(0, 200, 20)),
         "single-3-0", "triple-3-0", "triple-3-5", "z3-single-3-0", "z3-single-3-5",
         "z3-cross-pair-3-0", "z3-cross-pair-3-9"))
@@ -237,3 +252,62 @@ def test_triangulation_volume_matches_determinants_and_unimodular_image(data):
         tuple(sum(r * x for r, x in zip(row, p)) + s for row, s in zip(rows, shift))
         for p in vp.vertices))
     assert triangulate(image).volume == t.volume
+
+
+@st.composite
+def zero_one_sets(draw):
+    """Point sets in R^1..R^6 with coordinates mostly in {0, 1}: many points
+    on each hyperplane, so boundary simplices share hull facets."""
+    d = draw(st.integers(1, 6))
+    coord = st.one_of(st.sampled_from((F(0), F(1))),
+                      st.sampled_from((F(0), F(1), F(2), F(-1), F(1, 2))))
+    pts = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=d + 10))
+    return VPolytope(d, tuple(pts))
+
+
+def outcome(triangulate_fn, vp):
+    """The simplices and volume, or ``AssertionError`` if a check fails."""
+    try:
+        t = triangulate_fn(vp)
+    except AssertionError:
+        return AssertionError
+    return t.simplices, t.volume
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(point_sets(), zero_one_sets()))
+def test_triangulate_matches_per_simplex_reference(vp):
+    # The reference keeps one functional per boundary simplex; the hull
+    # facet design must build the same simplices in the same order.
+    assert outcome(triangulate, vp) == outcome(placing_reference.triangulate, vp)
+
+
+def test_triangulate_leaves_no_cyclic_garbage():
+    claim = lemma_claims(CROSS_PAIR, 3)[0]
+    for vp in (vertices(GROUPS["z2"], 6), piece_vertices(claim.spec)):
+        gc.collect()
+        gc.disable()
+        try:
+            triangulate(vp)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+def test_every_hull_facet_has_its_own_hyperplane(monkeypatch):
+    # A hyperplane that a point sees never supports the hull again, so a
+    # second hull facet on one hyperplane would be a split, not a new facet.
+    rows = []
+
+    class Recorded(volume._HullFacet):
+        __slots__ = ()
+
+        def __init__(self, h, bit, simplices):
+            super().__init__(h, bit, simplices)
+            rows.append(h)
+
+    monkeypatch.setattr(volume, "_HullFacet", Recorded)
+    for vp in (cube(4), vertices(GROUPS["z2"], 6), vertices(GROUPS["z3"], 4)):
+        rows.clear()
+        triangulate(vp)
+        assert len(set(rows)) == len(rows)
