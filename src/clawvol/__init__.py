@@ -33,7 +33,7 @@ from .cuts import (
     piece_volume,
     run_lemma,
 )
-from .formulas import FORMULA_TAGS, FormulaError, cut_formula, degree, degree_table
+from .formulas import FormulaError, cut_formula, degree, degree_table
 from .geometry import (
     GeometryError,
     GuardRailError,
@@ -74,7 +74,7 @@ __all__ = [
     "model_lattice_index", "subset_cut", "tuple_cut", "vertices",
     "CutSpec", "LEMMA_IDS", "LemmaClaim", "assemble", "check_lemma",
     "cut_piece", "lemma_claims", "piece_volume", "run_lemma",
-    "FORMULA_TAGS", "FormulaError", "cut_formula", "degree", "degree_table",
+    "FormulaError", "cut_formula", "degree", "degree_table",
     "GeometryError", "GuardRailError", "HPolytope", "HalfSpace",
     "LatticeBasis", "RankDeficientError", "UnboundedError", "VPolytope",
     "affine_dim", "lattice_index", "vertex_enumeration",

@@ -223,7 +223,7 @@ def lemma_cmd(lemma_id: str, n: int, group_name: str | None, fmt: str,
             f"not {group_name}")
     records = run_lemma(lemma_id, n, allow_big=override_guard)
     if fmt == "json":
-        text = json.dumps(records, indent=2, sort_keys=True) + "\n"
+        text = serialize.dumps(records)
     else:
         lines = []
         for r in records:
@@ -275,7 +275,7 @@ def table_cmd(group_name: str, n_range: str, fmt: str, output: str | None,
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
         data = [{"group": group.name, "n": n, "degree": deg} for n, deg in rows]
-        text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+        text = serialize.dumps(data)
     else:
         lines = [f"{group.name} {n} {deg}" for n, deg in rows]
         text = "\n".join(lines) + "\n"

@@ -14,14 +14,22 @@ Claim kinds:
 * ``contained-exists``: some admissible opposite-channel cut's minus side
   contains the whole piece;
 * ``integral-vertices``: every vertex of the piece is integral.
+
+The 13 claim families live in one table, ``LEMMA_FAMILIES``: each id maps
+to its group, its claim kind and an ``instances(n)`` builder that yields
+every instance's cut indices, sides and closed-form value.
+``lemma_claims`` turns those into ``CutSpec`` and ``LemmaClaim`` objects in
+one place, and ``LEMMA_IDS`` and ``LEMMA_GROUPS`` are read from the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import combinations, product
 from math import factorial
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 from .clawpoly import (
     MINUS,
@@ -33,7 +41,6 @@ from .clawpoly import (
     ambient_dim,
     cut_halfspace,
     model_lattice_index,
-    subset_cut,
     tuple_cut,
     z3_facet_tuples,
     z3_tuples,
@@ -122,18 +129,6 @@ def assemble(group: Group, n: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Digit-tuple combinatorics
-# ---------------------------------------------------------------------------
-
-def z3_diff_count(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(1 for x, y in zip(a, b) if x != y)
-
-
-def z3_zero_pair_count(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(1 for x, y in zip(a, b) if (x + y) % 3 == 0)
-
-
-# ---------------------------------------------------------------------------
 # Lemma claims
 # ---------------------------------------------------------------------------
 
@@ -168,182 +163,133 @@ class Verdict:
     computed: str
 
 
-def _claims_z2_single(n: int) -> Iterator[LemmaClaim]:
-    for mask in range(1 << n):
-        cut = subset_cut(Z2, n, _mask_positions(mask))
-        yield LemmaClaim("z2-single-cut-simplex",
-                         CutSpec(Z2, n, (cut,)), VOLUME, Fraction(1))
+# Instance builders.  Each yields ``(cuts, sides, expected)`` per instance in
+# canonical order: ``cuts`` holds one ``(A, channel)`` pair per cut, with A
+# the sorted positions (Z2, Z2xZ2) or the digit tuple (Z3); ``sides`` is
+# empty when every cut takes its minus side; ``expected`` is the closed-form
+# volume, or None for the other kinds.
+
+def _subsets(n: int) -> list[tuple[int, ...]]:
+    """Every A in [n], in the order of its bitmask."""
+    return [_mask_positions(mask) for mask in range(1 << n)]
 
 
-def _claims_z2_pair_flat(n: int) -> Iterator[LemmaClaim]:
-    for a in range(1 << n):
-        for b in range(a + 1, 1 << n):
-            if bin(a).count("1") % 2 != bin(b).count("1") % 2:
-                continue
-            cuts = (subset_cut(Z2, n, _mask_positions(a)),
-                    subset_cut(Z2, n, _mask_positions(b)))
-            yield LemmaClaim("z2-same-parity-pair-flat",
-                             CutSpec(Z2, n, cuts), FLAT)
+def _single_cut_volumes(tag, channels, pool, n):
+    expected = cut_formula(tag, n)
+    for g in channels:
+        for a in pool(n):
+            yield ((a, g),), (), expected
 
 
-def _claims_z22_pair_flat(n: int) -> Iterator[LemmaClaim]:
-    for channel in (1, 2, 3):
-        for a in range(1 << n):
-            for b in range(a + 1, 1 << n):
-                if bin(a).count("1") % 2 != bin(b).count("1") % 2:
-                    continue
-                cuts = (subset_cut(Z2xZ2, n, _mask_positions(a), channel),
-                        subset_cut(Z2xZ2, n, _mask_positions(b), channel))
-                yield LemmaClaim("z2z2-same-channel-pair-flat",
-                                 CutSpec(Z2xZ2, n, cuts), FLAT)
+def _same_parity_pairs(channels, n):
+    subsets = _subsets(n)
+    for g in channels:
+        for i, a in enumerate(subsets):
+            for b in subsets[i + 1:]:
+                if len(a) % 2 == len(b) % 2:
+                    yield ((a, g), (b, g)), (), None
 
 
-def _claims_z22_lattice_points(n: int) -> Iterator[LemmaClaim]:
-    for channel in (1, 2, 3):
-        for mask in range(1 << n):
-            cut = subset_cut(Z2xZ2, n, _mask_positions(mask), channel)
+def _z22_both_sides(n):
+    for g in (1, 2, 3):
+        for a in _subsets(n):
             for side in (MINUS, PLUS):
-                yield LemmaClaim("z2z2-cut-lattice-points",
-                                 CutSpec(Z2xZ2, n, (cut,), (side,)),
-                                 INTEGRAL_VERTICES)
+                yield ((a, g),), (side,), None
 
 
-def _claims_z22_single(n: int) -> Iterator[LemmaClaim]:
-    expected = cut_formula(Z22_ONE_FACET, n)
-    for channel in (1, 2, 3):
-        for mask in range(1 << n):
-            cut = subset_cut(Z2xZ2, n, _mask_positions(mask), channel)
-            yield LemmaClaim("z2z2-single-cut-volume",
-                             CutSpec(Z2xZ2, n, (cut,)), VOLUME, expected)
-
-
-def _claims_z22_cross_pair(n: int) -> Iterator[LemmaClaim]:
+def _z22_cross_pairs(n):
     expected = cut_formula(Z22_TWO_FACET, n)
+    subsets = _subsets(n)
     for g, h in ((1, 2), (1, 3), (2, 3)):
-        for a in range(1 << n):
-            for b in range(1 << n):
-                cuts = (subset_cut(Z2xZ2, n, _mask_positions(a), g),
-                        subset_cut(Z2xZ2, n, _mask_positions(b), h))
-                yield LemmaClaim("z2z2-cross-channel-pair-volume",
-                                 CutSpec(Z2xZ2, n, cuts), VOLUME, expected)
+        for a, b in product(subsets, repeat=2):
+            yield ((a, g), (b, h)), (), expected
 
 
-def _claims_z22_triple(n: int) -> Iterator[LemmaClaim]:
-    for a in range(1 << n):
-        for b in range(1 << n):
-            for c in range(1 << n):
-                total = (bin(a).count("1") + bin(b).count("1")
-                         + bin(c).count("1"))
-                if total % 2 == 0:
-                    continue
-                sets = (_mask_positions(a), _mask_positions(b),
-                        _mask_positions(c))
-                expected = cut_formula(Z22_THREE_FACET, n, sets)
-                cuts = (subset_cut(Z2xZ2, n, sets[0], 1),
-                        subset_cut(Z2xZ2, n, sets[1], 2),
-                        subset_cut(Z2xZ2, n, sets[2], 3))
-                yield LemmaClaim("z2z2-triple-channel-volume",
-                                 CutSpec(Z2xZ2, n, cuts), VOLUME, expected)
+def _z22_triples(n):
+    for a, b, c in product(_subsets(n), repeat=3):
+        if (len(a) + len(b) + len(c)) % 2:
+            yield (((a, 1), (b, 2), (c, 3)), (),
+                   cut_formula(Z22_THREE_FACET, n, (a, b, c)))
 
 
-def _claims_z3_far_flat(n: int) -> Iterator[LemmaClaim]:
-    tuples = list(z3_tuples(n))
-    for channel in (1, 2):
+def _z3_same_channel_pairs(pool, keep, n):
+    """Pairs a < b from the pool, one channel at a time, whose digit sums
+    agree mod 3 and whose count of differing positions passes ``keep``."""
+    tuples = list(pool(n))
+    for g in (1, 2):
         for i, a in enumerate(tuples):
             for b in tuples[i + 1:]:
-                if sum(a) % 3 != sum(b) % 3 or z3_diff_count(a, b) <= 2:
-                    continue
-                cuts = (tuple_cut(n, a, channel), tuple_cut(n, b, channel))
-                yield LemmaClaim("z3-far-same-channel-flat",
-                                 CutSpec(Z3, n, cuts), FLAT)
+                if (sum(a) % 3 == sum(b) % 3
+                        and keep(sum(x != y for x, y in zip(a, b)))):
+                    yield ((a, g), (b, g)), (), None
 
 
-def _claims_z3_near_contained(n: int) -> Iterator[LemmaClaim]:
-    valid = z3_facet_tuples(n)
-    for channel in (1, 2):
-        for i, a in enumerate(valid):
-            for b in valid[i + 1:]:
-                if z3_diff_count(a, b) != 2:
-                    continue
-                cuts = (tuple_cut(n, a, channel), tuple_cut(n, b, channel))
-                yield LemmaClaim("z3-near-same-channel-contained",
-                                 CutSpec(Z3, n, cuts), CONTAINED_EXISTS)
-
-
-def _claims_z3_cross_flat(n: int) -> Iterator[LemmaClaim]:
+def _z3_cross_flat(n):
     tuples = list(z3_tuples(n))
-    for a in tuples:
-        for b in tuples:
-            if a == b or (sum(a) + sum(b)) % 3 != 1:
-                continue
-            if z3_zero_pair_count(a, b) >= n - 1:
-                continue
-            cuts = (tuple_cut(n, a, 1), tuple_cut(n, b, 2))
-            yield LemmaClaim("z3-cross-channel-flat",
-                             CutSpec(Z3, n, cuts), FLAT)
+    for a, b in product(tuples, repeat=2):
+        if (a != b and (sum(a) + sum(b)) % 3 == 1
+                and sum((x + y) % 3 == 0 for x, y in zip(a, b)) < n - 1):
+            yield ((a, 1), (b, 2)), (), None
 
 
-def _claims_z3_double_pair(n: int) -> Iterator[LemmaClaim]:
-    valid = z3_facet_tuples(n)
-    pairs = [(a, b) for i, a in enumerate(valid) for b in valid[i + 1:]]
-    for a, b in pairs:
-        for c, d in pairs:
-            cuts = (tuple_cut(n, a, 1), tuple_cut(n, b, 1),
-                    tuple_cut(n, c, 2), tuple_cut(n, d, 2))
-            yield LemmaClaim("z3-double-pair-flat",
-                             CutSpec(Z3, n, cuts), FLAT)
+def _z3_double_pairs(n):
+    pairs = list(combinations(z3_facet_tuples(n), 2))
+    for (a, b), (c, d) in product(pairs, repeat=2):
+        yield ((a, 1), (b, 1), (c, 2), (d, 2)), (), None
 
 
-def _claims_z3_single(n: int) -> Iterator[LemmaClaim]:
-    expected = cut_formula(Z3_ONE_FACET, n)
-    for channel in (1, 2):
-        for a in z3_tuples(n):
-            yield LemmaClaim("z3-single-cut-volume",
-                             CutSpec(Z3, n, (tuple_cut(n, a, channel),)),
-                             VOLUME, expected)
-
-
-def _claims_z3_cross_pair(n: int) -> Iterator[LemmaClaim]:
+def _z3_cross_pairs(n):
     expected = cut_formula(Z3_TWO_FACET, n)
     for a in z3_tuples(n):
         for j in range(n):
-            b = tuple(((1 if i == j else 0) - x) % 3 for i, x in enumerate(a))
-            cuts = (tuple_cut(n, a, 1), tuple_cut(n, b, 2))
-            yield LemmaClaim("z3-cross-channel-pair-volume",
-                             CutSpec(Z3, n, cuts), VOLUME, expected)
+            b = tuple(((i == j) - x) % 3 for i, x in enumerate(a))
+            yield ((a, 1), (b, 2)), (), expected
 
 
-LEMMA_GENERATORS: dict[str, Callable[[int], Iterator[LemmaClaim]]] = {
-    "z2-single-cut-simplex": _claims_z2_single,
-    "z2-same-parity-pair-flat": _claims_z2_pair_flat,
-    "z2z2-same-channel-pair-flat": _claims_z22_pair_flat,
-    "z2z2-cut-lattice-points": _claims_z22_lattice_points,
-    "z2z2-single-cut-volume": _claims_z22_single,
-    "z2z2-cross-channel-pair-volume": _claims_z22_cross_pair,
-    "z2z2-triple-channel-volume": _claims_z22_triple,
-    "z3-far-same-channel-flat": _claims_z3_far_flat,
-    "z3-near-same-channel-contained": _claims_z3_near_contained,
-    "z3-cross-channel-flat": _claims_z3_cross_flat,
-    "z3-double-pair-flat": _claims_z3_double_pair,
-    "z3-single-cut-volume": _claims_z3_single,
-    "z3-cross-channel-pair-volume": _claims_z3_cross_pair,
+# The claim families: id -> (group, kind, instances), where instances(n)
+# yields the builders' triples.  ``lemma_claims`` turns them into claims.
+LEMMA_FAMILIES: dict[str, tuple[Group, str, Callable[[int], Iterator]]] = {
+    "z2-single-cut-simplex":
+        (Z2, VOLUME, partial(_single_cut_volumes, Z2_CUT, (1,), _subsets)),
+    "z2-same-parity-pair-flat": (Z2, FLAT, partial(_same_parity_pairs, (1,))),
+    "z2z2-same-channel-pair-flat":
+        (Z2xZ2, FLAT, partial(_same_parity_pairs, (1, 2, 3))),
+    "z2z2-cut-lattice-points": (Z2xZ2, INTEGRAL_VERTICES, _z22_both_sides),
+    "z2z2-single-cut-volume": (Z2xZ2, VOLUME, partial(
+        _single_cut_volumes, Z22_ONE_FACET, (1, 2, 3), _subsets)),
+    "z2z2-cross-channel-pair-volume": (Z2xZ2, VOLUME, _z22_cross_pairs),
+    "z2z2-triple-channel-volume": (Z2xZ2, VOLUME, _z22_triples),
+    "z3-far-same-channel-flat":
+        (Z3, FLAT, partial(_z3_same_channel_pairs, z3_tuples, lambda d: d > 2)),
+    "z3-near-same-channel-contained": (Z3, CONTAINED_EXISTS, partial(
+        _z3_same_channel_pairs, z3_facet_tuples, lambda d: d == 2)),
+    "z3-cross-channel-flat": (Z3, FLAT, _z3_cross_flat),
+    "z3-double-pair-flat": (Z3, FLAT, _z3_double_pairs),
+    "z3-single-cut-volume": (Z3, VOLUME, partial(
+        _single_cut_volumes, Z3_ONE_FACET, (1, 2), z3_tuples)),
+    "z3-cross-channel-pair-volume": (Z3, VOLUME, _z3_cross_pairs),
 }
 
-LEMMA_IDS = tuple(LEMMA_GENERATORS)
+LEMMA_IDS = tuple(LEMMA_FAMILIES)
 
 LEMMA_GROUPS: dict[str, Group] = {
-    lemma_id: (Z2xZ2 if lemma_id.startswith("z2z2")
-               else Z3 if lemma_id.startswith("z3") else Z2)
-    for lemma_id in LEMMA_IDS
-}
+    lemma_id: group for lemma_id, (group, _, _) in LEMMA_FAMILIES.items()}
 
 
 def lemma_claims(lemma_id: str, n: int) -> tuple[LemmaClaim, ...]:
     """All instances of one lemma at this n, in canonical order."""
-    if lemma_id not in LEMMA_GENERATORS:
+    _check_n(n)
+    if lemma_id not in LEMMA_FAMILIES:
         known = ", ".join(LEMMA_IDS)
         raise ValueError(f"unknown lemma {lemma_id!r}; expected one of: {known}")
-    return tuple(LEMMA_GENERATORS[lemma_id](n))
+    group, kind, instances = LEMMA_FAMILIES[lemma_id]
+    return tuple(
+        LemmaClaim(lemma_id,
+                   CutSpec(group, n,
+                           tuple(OddSubsetCut(group, n, a, g) for a, g in cuts),
+                           sides),
+                   kind, expected)
+        for cuts, sides, expected in instances(n))
 
 
 def check_lemma(claim: LemmaClaim, *, allow_big: bool = False) -> Verdict:

@@ -27,11 +27,6 @@ Z22_THREE_FACET = "Z22ThreeFacet"
 Z3_ONE_FACET = "Z3OneFacet"
 Z3_TWO_FACET = "Z3TwoFacet"
 
-FORMULA_TAGS = (
-    Z2_CUT, Z22_ONE_FACET, Z22_TWO_FACET, Z22_THREE_FACET,
-    Z3_ONE_FACET, Z3_TWO_FACET,
-)
-
 
 class FormulaError(Exception):
     """A formula produced a non-integral value where an integer is required."""

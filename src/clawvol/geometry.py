@@ -54,6 +54,12 @@ def _exact(v):
     raise ValueError(f"expected int or Fraction, got {type(v).__name__}")
 
 
+def _check_length(point: Sequence, dim: int) -> None:
+    if len(point) != dim:
+        raise ValueError(
+            f"point of length {len(point)} does not match ambient R^{dim}")
+
+
 def _primitive(vec: Sequence[int]) -> tuple[int, ...]:
     """Divide an integer vector by the gcd of its entries, keeping signs."""
     g = math.gcd(*vec)
@@ -96,9 +102,11 @@ class HalfSpace:
 
     def value(self, point: Sequence):
         """Evaluate ``<normal, point>``."""
+        _check_length(point, self.dim)
         return sum(map(mul, self.normal, point))
 
     def holds(self, point: Sequence) -> bool:
+        _check_length(point, self.dim)
         scaled, d = _integer_point(point)
         return sum(map(mul, self.normal, scaled)) <= self.offset * d
 
@@ -141,6 +149,7 @@ class HPolytope:
             raise ValueError("the base's halfspaces must be a prefix of these")
 
     def contains(self, point: Sequence) -> bool:
+        _check_length(point, self.dim)
         scaled, d = _integer_point(point)
         return all(sum(map(mul, hs.normal, scaled)) <= hs.offset * d
                    for hs in self.halfspaces)
@@ -163,9 +172,7 @@ class VPolytope:
         clean = tuple(sorted({tuple(map(_exact, p)) for p in self.vertices}))
         object.__setattr__(self, "vertices", clean)
         for p in clean:
-            if len(p) != self.dim:
-                raise ValueError(
-                    f"point of length {len(p)} does not match ambient R^{self.dim}")
+            _check_length(p, self.dim)
 
     def is_empty(self) -> bool:
         return not self.vertices
@@ -376,7 +383,10 @@ def affine_dim(points: Sequence[Sequence]) -> int:
 
     The rank of the rows ``(1, p)``, each scaled to primitive integers, is
     one more than the affine dimension.  A row of ints is primitive already.
+    The points must all have the same length.
     """
+    for p in points[1:]:
+        _check_length(p, len(points[0]))
     rows = [[1, *p] if all(type(v) is int for v in p)
             else list(_scaled_integers((1, *map(_exact, p)))) for p in points]
     return len(bareiss(rows)[0]) - 1

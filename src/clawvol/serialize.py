@@ -48,7 +48,7 @@ def hpolytope_to_doc(hp: HPolytope) -> dict:
     }
 
 
-def dumps(doc: dict) -> str:
+def dumps(doc: dict | list) -> str:
     """Canonical JSON text: sorted keys, two-space indent, trailing newline."""
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 

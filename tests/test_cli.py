@@ -127,6 +127,20 @@ def test_lemma_group_mismatch_is_usage_error(runner):
     assert result.stderr.startswith("clawvol: error: usage:")
 
 
+@pytest.mark.parametrize("lemma_id,n", [
+    ("z2-single-cut-simplex", "1"),
+    ("z3-single-cut-volume", "1"),
+    ("z3-far-same-channel-flat", "0"),
+    ("z2z2-cut-lattice-points", "-1"),
+    ("z3-double-pair-flat", "-1"),
+])
+def test_lemma_refuses_n_below_2(runner, lemma_id, n):
+    result = invoke(runner, "lemma", "--lemma", lemma_id, "--n", n)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"clawvol: error: usage: n must be >= 2, got {n}\n"
+
+
 def test_table_formats(runner):
     csv = invoke(runner, "table", "--group", "z2", "--n", "2..6")
     assert csv.stdout == ("group,n,degree\n"

@@ -19,6 +19,7 @@ from clawvol.cuts import (
     LEMMA_GROUPS,
     LEMMA_IDS,
     CutSpec,
+    Verdict,
     assemble,
     check_lemma,
     lemma_claims,
@@ -188,6 +189,30 @@ def test_volume_claim_refused_on_dimension_before_vertex_enumeration(monkeypatch
         piece_volume(claim.spec)
     with pytest.raises(Enumerated):
         check_lemma(claim, allow_big=True)
+
+
+@pytest.mark.parametrize("lemma_id", LEMMA_IDS)
+@pytest.mark.parametrize("n", (-1, 0, 1))
+def test_every_lemma_refuses_n_below_2(lemma_id, n):
+    with pytest.raises(ValueError, match=f"^n must be >= 2, got {n}$"):
+        lemma_claims(lemma_id, n)
+
+
+# Instance 0 of each volume family beyond the criterion-05 sizes.  The
+# z2z2 single-cut row ties the Z2xZ2 alternating factorial sum, which the
+# formula and inclusion-exclusion routes share, to the geometry at n = 4.
+@pytest.mark.parametrize("lemma_id,n,computed", [
+    ("z2z2-single-cut-volume", 4, "4120"),
+    ("z2z2-cross-channel-pair-volume", 4, "139/2"),
+    ("z2z2-triple-channel-volume", 4, "29/8"),
+    ("z3-single-cut-volume", 5, "507/16"),
+    ("z3-single-cut-volume", 6, "1021/16"),
+    ("z3-cross-channel-pair-volume", 5, "23/8"),
+    ("z3-cross-channel-pair-volume", 6, "47/16"),
+])
+def test_first_volume_instance_beyond_criterion_05(lemma_id, n, computed):
+    verdict = check_lemma(lemma_claims(lemma_id, n)[0])
+    assert verdict == Verdict(True, computed, computed)
 
 
 def test_unknown_lemma_rejected():

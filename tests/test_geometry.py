@@ -86,6 +86,17 @@ def test_floats_are_refused(build):
         build()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: HalfSpace((1, 1), 1).value((0, 0, 7)),
+    lambda: HalfSpace((1, 1), 1).holds((0,)),
+    lambda: HPolytope(2, (HalfSpace((1, 1), 1),)).contains((0, 0, 7, 7)),
+    lambda: affine_dim([(0,), (1, 5, 7)]),
+], ids=("value", "holds", "contains", "affine-dim"))
+def test_points_of_the_wrong_length_are_refused(call):
+    with pytest.raises(ValueError, match="point of length"):
+        call()
+
+
 def test_hpolytope_contains():
     hp = box((0, 1), (0, 1))
     assert hp.contains(pt(F(1, 2), F(1, 2)))
