@@ -225,13 +225,11 @@ def lemma_cmd(lemma_id: str, n: int, group_name: str | None, fmt: str,
     if fmt == "json":
         text = serialize.dumps(records)
     else:
-        lines = []
-        for r in records:
-            hyp = json.dumps(r["hypothesis"], sort_keys=True)
-            lines.append(
-                f"{r['lemma']} {hyp} expected={r['expected']} "
-                f"computed={r['computed']} {r['verdict']}")
-        text = "\n".join(lines) + "\n"
+        # One line per record; a family with no instances writes nothing.
+        text = "".join(
+            f"{r['lemma']} {json.dumps(r['hypothesis'], sort_keys=True)} "
+            f"expected={r['expected']} computed={r['computed']} {r['verdict']}\n"
+            for r in records)
     _emit(text, output)
     refuted = sum(1 for r in records if r["verdict"] != "confirmed")
     if refuted:

@@ -5,10 +5,12 @@ arithmetic; no floats are ever produced, and the constructors refuse them.
 The central algorithm is a double description vertex enumerator working on
 integer homogeneous coordinates, which turns a halfspace description into
 the exact vertex set of a bounded polyhedron and reliably distinguishes
-empty from unbounded inputs.  A polytope built by ``with_halfspaces``
-remembers the polytope it came from; the enumerator resumes from that base
-polytope's cone, computed once and kept on the base, and processes only the
-added rows.
+empty from unbounded inputs.  ``vertex_rays`` returns that vertex set as
+the cone's primitive integer rays (y_0, y), one per vertex y / y_0, for
+callers that want integers; ``vertex_enumeration`` turns them into points.
+A polytope built by ``with_halfspaces`` remembers the polytope it came
+from; the enumerator resumes from that base polytope's cone, computed once
+and kept on the base, and processes only the added rows.
 
 Conventions:
 
@@ -115,8 +117,13 @@ class HalfSpace:
         return HalfSpace(tuple(-a for a in self.normal), -self.offset)
 
 
-def _integer_point(point: Sequence) -> tuple[list[int], int]:
-    """``(d * point, d)`` with d the lcm of the point's denominators."""
+def _integer_point(point: Sequence) -> tuple[Sequence[int], int]:
+    """``(d * point, d)`` with d the lcm of the point's denominators.
+
+    An all-int point is its own scaled form, with d = 1.
+    """
+    if all(type(v) is int for v in point):
+        return point, 1
     d = math.lcm(*(_exact(v).denominator for v in point))
     return [v.numerator * d // v.denominator for v in point], d
 
@@ -309,28 +316,35 @@ def _dd_state(hp: HPolytope) -> tuple:
     return (*_dd_cone(rows, hp.dim + 1, start), len(hp.halfspaces) + 1)
 
 
-def vertex_enumeration(hp: HPolytope) -> VPolytope:
-    """Exact vertex set of a bounded ``HPolytope``.
+def vertex_rays(hp: HPolytope) -> list[tuple[int, ...]]:
+    """Primitive integer rays (y_0, y) of hp's homogenized cone, y_0 > 0.
 
-    Returns an empty ``VPolytope`` when the constraints are infeasible and
-    raises ``UnboundedError`` when the feasible region has a recession
-    direction, so the two degenerate outcomes are never confused.  A
-    polytope built by ``with_halfspaces`` resumes DD from its base
-    polytope's cone and processes only the added halfspaces.  A vertex
-    whose ray has y_0 = 1 keeps the ray's int coordinates; only the others
-    become ``Fraction``s.
+    Each ray stands for the vertex y / y_0 of a bounded ``HPolytope``; the
+    rays come in DD order, one per vertex.  Returns an empty list when the
+    constraints are infeasible and raises ``UnboundedError`` when the
+    feasible region has a recession direction, so the two degenerate
+    outcomes are never confused.  A polytope built by ``with_halfspaces``
+    resumes DD from its base polytope's cone and processes only the added
+    halfspaces.
     """
-    d = hp.dim
     rays, _, lineality, _ = _dd_state(hp)
-    bounded_rays = [r for r in rays if r[0] > 0]
-    if not bounded_rays:
-        return VPolytope(d, ())
-    if lineality or any(r[0] == 0 for r in rays):
+    bounded = [r for r in rays if r[0] > 0]
+    if bounded and (lineality or len(bounded) < len(rays)):
         raise UnboundedError(
-            f"polyhedron in R^{d} is unbounded; no vertex description exists")
+            f"polyhedron in R^{hp.dim} is unbounded; no vertex description exists")
+    return bounded
+
+
+def vertex_enumeration(hp: HPolytope) -> VPolytope:
+    """Exact vertex set of a bounded ``HPolytope``, from ``vertex_rays``.
+
+    Empty when the constraints are infeasible; ``UnboundedError`` when the
+    feasible region is unbounded.  A vertex whose ray has y_0 = 1 keeps the
+    ray's int coordinates; only the others become ``Fraction``s.
+    """
     points = [r[1:] if r[0] == 1 else tuple(Fraction(v, r[0]) for v in r[1:])
-              for r in bounded_rays]
-    return VPolytope(d, tuple(points))
+              for r in vertex_rays(hp)]
+    return VPolytope(hp.dim, tuple(points))
 
 
 # ---------------------------------------------------------------------------

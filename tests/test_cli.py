@@ -120,6 +120,18 @@ def test_lemma_json_records(runner):
     assert all(r["verdict"] == "confirmed" for r in records)
 
 
+def test_lemma_family_without_instances_writes_nothing(runner):
+    # z3-far-same-channel-flat has no instances at n = 2
+    text = invoke(runner, "lemma", "--lemma", "z3-far-same-channel-flat",
+                  "--n", "2")
+    assert text.exit_code == 0
+    assert text.stdout_bytes == b""
+    as_json = invoke(runner, "lemma", "--lemma", "z3-far-same-channel-flat",
+                     "--n", "2", "--format", "json")
+    assert as_json.exit_code == 0
+    assert as_json.stdout == "[]\n"
+
+
 def test_lemma_group_mismatch_is_usage_error(runner):
     result = invoke(runner, "lemma", "--lemma", "z2-single-cut-simplex",
                     "--n", "3", "--group", "z3")
@@ -287,7 +299,7 @@ PINNED_STDOUT_SHA256 = {
     "lemma --lemma z2z2-triple-channel-volume --n 2 --format json":
         "2a25813dec3c9db81d8eeae4335060d57c750383657f1b66c95339727d9531fb",
     "lemma --lemma z3-far-same-channel-flat --n 2 --format text":
-        "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "lemma --lemma z3-far-same-channel-flat --n 2 --format json":
         "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
     "lemma --lemma z3-near-same-channel-contained --n 2 --format text":

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from clawvol import cuts
+from clawvol import cuts, volume
 from clawvol.clawpoly import (
     MINUS,
     PLUS,
@@ -22,12 +22,14 @@ from clawvol.cuts import (
     Verdict,
     assemble,
     check_lemma,
+    cut_piece,
     lemma_claims,
+    piece_vertices,
     piece_volume,
     run_lemma,
 )
 from clawvol.formulas import degree_rational
-from clawvol.geometry import GuardRailError, vertex_enumeration
+from clawvol.geometry import GuardRailError, vertex_enumeration, vertex_rays
 from clawvol.groups import Z2, Z2xZ2, Z3
 from clawvol.volume import lattice_volume
 from helpers import count_singleton_delta_triples, delta_mask
@@ -181,7 +183,7 @@ def test_volume_claim_refused_on_dimension_before_vertex_enumeration(monkeypatch
     def enumerate_vertices(hp):
         raise Enumerated
 
-    monkeypatch.setattr(cuts, "vertex_enumeration", enumerate_vertices)
+    monkeypatch.setattr(cuts, "vertex_rays", enumerate_vertices)
     claim = lemma_claims("z3-single-cut-volume", 8)[0]
     with pytest.raises(GuardRailError, match="dimension 16 exceeds 14"):
         check_lemma(claim)
@@ -198,10 +200,24 @@ def test_every_lemma_refuses_n_below_2(lemma_id, n):
         lemma_claims(lemma_id, n)
 
 
+def test_piece_volume_refuses_too_many_vertices(monkeypatch):
+    # one z3 facet cut at n = 2 has 8 vertices
+    spec = CutSpec(Z3, 2, (tuple_cut(2, (2, 0), 1),))
+    monkeypatch.setattr(volume, "MAX_VERTICES", 7)
+    message = "triangulation refused: 8 vertices exceed 7 (pass the override to force)"
+    with pytest.raises(GuardRailError) as refused:
+        piece_volume(spec)
+    assert str(refused.value) == message
+    with pytest.raises(GuardRailError) as by_vertices:
+        lattice_volume(piece_vertices(spec))
+    assert str(by_vertices.value) == message
+    assert piece_volume(spec, allow_big=True) == 3
+
+
 # Instance 0 of each volume family beyond the criterion-05 sizes.  The
 # z2z2 single-cut row ties the Z2xZ2 alternating factorial sum, which the
 # formula and inclusion-exclusion routes share, to the geometry at n = 4.
-@pytest.mark.parametrize("lemma_id,n,computed", [
+BEYOND_CRITERION_05 = [
     ("z2z2-single-cut-volume", 4, "4120"),
     ("z2z2-cross-channel-pair-volume", 4, "139/2"),
     ("z2z2-triple-channel-volume", 4, "29/8"),
@@ -209,10 +225,39 @@ def test_every_lemma_refuses_n_below_2(lemma_id, n):
     ("z3-single-cut-volume", 6, "1021/16"),
     ("z3-cross-channel-pair-volume", 5, "23/8"),
     ("z3-cross-channel-pair-volume", 6, "47/16"),
-])
+]
+
+
+@pytest.mark.parametrize("lemma_id,n,computed", BEYOND_CRITERION_05)
 def test_first_volume_instance_beyond_criterion_05(lemma_id, n, computed):
     verdict = check_lemma(lemma_claims(lemma_id, n)[0])
     assert verdict == Verdict(True, computed, computed)
+
+
+def volume_pieces():
+    """Every volume-claim piece at criterion-05 sizes, then instance 0 of
+    each family and size in ``BEYOND_CRITERION_05``."""
+    for lemma_id in LEMMA_IDS:
+        sizes = (2, 3, 4) if LEMMA_GROUPS[lemma_id] is Z2 else (2, 3)
+        for n in sizes:
+            for claim in lemma_claims(lemma_id, n):
+                if claim.kind == cuts.VOLUME:
+                    yield claim.spec
+    for lemma_id, n, _ in BEYOND_CRITERION_05:
+        yield lemma_claims(lemma_id, n)[0].spec
+
+
+def test_rays_volume_matches_vertex_volume():
+    # piece_volume skips the Fraction vertices; the placing must see the
+    # same integer rows, so the volume is the one of the vertex route.
+    checked = 0
+    for spec in volume_pieces():
+        vp = piece_vertices(spec)
+        rows = volume._scaled_rays(vertex_rays(cut_piece(spec)))
+        assert rows == volume._scaled_points(vp)
+        assert piece_volume(spec) == lattice_volume(vp)
+        checked += 1
+    assert checked == 770
 
 
 def test_unknown_lemma_rejected():

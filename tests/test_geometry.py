@@ -11,7 +11,7 @@ from click.testing import CliRunner
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from clawvol import cli, clawpoly, geometry
+from clawvol import cli, clawpoly, geometry, volume
 from clawvol.cuts import CutSpec, cut_piece, lemma_claims, piece_vertices
 from clawvol.geometry import (
     HPolytope,
@@ -24,6 +24,7 @@ from clawvol.geometry import (
     bareiss,
     lattice_index,
     vertex_enumeration,
+    vertex_rays,
 )
 from clawvol.geometry import (
     _cone_rows,
@@ -381,6 +382,29 @@ def test_contains_matches_fraction_evaluation(hp, data):
              for hs in hp.halfspaces]
     assert [hs.holds(point) for hs in hp.halfspaces] == exact
     assert hp.contains(point) == all(exact)
+
+
+@settings(max_examples=100, deadline=None)
+@given(boxed_polytopes(), st.data())
+def test_int_points_answer_like_their_fractions(hp, data):
+    # An all-int point skips the scaling; its answers must not change.
+    point = data.draw(st.tuples(*[st.integers(-3, 3)] * hp.dim))
+    as_fractions = tuple(map(F, point))
+    assert ([hs.holds(point) for hs in hp.halfspaces]
+            == [hs.holds(as_fractions) for hs in hp.halfspaces])
+    assert hp.contains(point) == hp.contains(as_fractions)
+
+
+@settings(max_examples=100, deadline=None)
+@given(boxed_polytopes())
+def test_rays_feed_the_placing_the_points_of_vertex_enumeration(hp):
+    rays = vertex_rays(hp)
+    vp = vertex_enumeration(hp)
+    rows = volume._scaled_rays(rays)
+    assert rows == volume._scaled_points(vp)
+    t = volume.triangulate(vp)
+    assert volume._place(rows[0], hp.dim)[0] == t.simplices
+    assert volume.rays_volume(rays, hp.dim) == t.volume
 
 
 def convex_combination(points, weights):
