@@ -6,9 +6,6 @@ volume minus the volume of the union of all facet-cut pieces; that union is
 accounted for by closed-form piece volumes together with counting arguments,
 and every one of those closed forms and dimension claims is checkable here
 against the exact geometry oracle (vertex enumeration + triangulation).
-``piece_volume`` hands the double description's integer rays straight to
-the placing triangulation (``geometry.vertex_rays``, ``volume.rays_volume``);
-the other claim kinds read the piece's vertices from ``piece_vertices``.
 
 Claim kinds:
 
@@ -58,15 +55,9 @@ from .formulas import (
     cut_formula,
     pow2_quotient,
 )
-from .geometry import (
-    HPolytope,
-    VPolytope,
-    affine_dim,
-    vertex_enumeration,
-    vertex_rays,
-)
+from .geometry import HPolytope, VPolytope, affine_dim, vertex_enumeration
 from .groups import Group, Z2, Z2xZ2, Z3
-from .volume import check_dimension_guard, rays_volume
+from .volume import check_dimension_guard, lattice_volume
 
 
 @dataclass(frozen=True)
@@ -103,14 +94,9 @@ def piece_vertices(spec: CutSpec) -> VPolytope:
 
 
 def piece_volume(spec: CutSpec, *, allow_big: bool = False) -> Fraction:
-    """Exact lattice volume of the piece in Z^((|G|-1)n).
-
-    Measured from the DD's integer rays, with no ``Fraction`` vertices in
-    between; the dimension guard refuses before DD runs.
-    """
-    dim = ambient_dim(spec.group, spec.n)
-    check_dimension_guard(dim, allow_big)
-    return rays_volume(vertex_rays(cut_piece(spec)), dim, allow_big=allow_big)
+    """Exact lattice volume of the piece in Z^((|G|-1)n)."""
+    check_dimension_guard(ambient_dim(spec.group, spec.n), allow_big)
+    return lattice_volume(piece_vertices(spec), allow_big=allow_big)
 
 
 # ---------------------------------------------------------------------------

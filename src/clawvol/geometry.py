@@ -7,7 +7,8 @@ integer homogeneous coordinates, which turns a halfspace description into
 the exact vertex set of a bounded polyhedron and reliably distinguishes
 empty from unbounded inputs.  ``vertex_rays`` returns that vertex set as
 the cone's primitive integer rays (y_0, y), one per vertex y / y_0, for
-callers that want integers; ``vertex_enumeration`` turns them into points.
+callers that want integers; ``vertex_enumeration`` turns them into points,
+sorted by their integer rows rather than as ``Fraction``s.
 A polytope built by ``with_halfspaces`` remembers the polytope it came
 from; the enumerator resumes from that base polytope's cone, computed once
 and kept on the base, and processes only the added rows.
@@ -181,6 +182,15 @@ class VPolytope:
         for p in clean:
             _check_length(p, self.dim)
 
+    @classmethod
+    def _from_sorted(cls, dim: int, points: tuple[Point, ...]) -> VPolytope:
+        """Store ``points`` as they are: exact, of length ``dim``, distinct
+        and lex-sorted already, as ``vertex_enumeration`` makes them."""
+        vp = object.__new__(cls)
+        object.__setattr__(vp, "dim", dim)
+        object.__setattr__(vp, "vertices", points)
+        return vp
+
     def is_empty(self) -> bool:
         return not self.vertices
 
@@ -339,12 +349,24 @@ def vertex_enumeration(hp: HPolytope) -> VPolytope:
     """Exact vertex set of a bounded ``HPolytope``, from ``vertex_rays``.
 
     Empty when the constraints are infeasible; ``UnboundedError`` when the
-    feasible region is unbounded.  A vertex whose ray has y_0 = 1 keeps the
-    ray's int coordinates; only the others become ``Fraction``s.
+    feasible region is unbounded.  The rays are sorted by their integer
+    rows y * (L / y_0), L the lcm of the y_0, which order the vertices
+    y / y_0 lexicographically; distinct primitive rays are distinct
+    vertices, so no ``Fraction`` is hashed or compared.  A vertex whose ray
+    has y_0 = 1 keeps the ray's int coordinates; only the others become
+    ``Fraction``s.
     """
-    points = [r[1:] if r[0] == 1 else tuple(Fraction(v, r[0]) for v in r[1:])
-              for r in vertex_rays(hp)]
-    return VPolytope(hp.dim, tuple(points))
+    rays = vertex_rays(hp)
+    scale = math.lcm(*(r[0] for r in rays))
+
+    def row(r):
+        q = scale // r[0]
+        return [v * q for v in r[1:]]
+
+    rays.sort(key=row)
+    return VPolytope._from_sorted(hp.dim, tuple(
+        r[1:] if r[0] == 1 else tuple(Fraction(v, r[0]) for v in r[1:])
+        for r in rays))
 
 
 # ---------------------------------------------------------------------------

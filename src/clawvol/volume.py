@@ -5,13 +5,7 @@ lexicographic order, a first full-dimensional simplex is built greedily, and
 every later point is attached by coning over the boundary simplices it can
 see strictly.  Ties never arise because insertion order is the total lex
 order.  Points are scaled to a common denominator and all arithmetic is on
-integers, so results are exact.  One placing routine works on those scaled
-integer rows, and two entries feed it: ``triangulate`` scales the points of
-a ``VPolytope`` by the lcm of their denominators, and ``rays_volume`` scales
-primitive integer rays (y_0, y), as double description returns them, by
-the lcm of the y_0, then sorts and deduplicates the rows.  For a primitive
-ray, y_0 is the lcm of the reduced denominators of y / y_0, so both entries
-give the same rows, simplices and volume for the same vertex set.
+integers, so results are exact.
 
 The boundary is kept as hull facets, beneath-beyond style (Joswig,
 "Beneath-and-beyond revisited", 2003).  A hull facet is a maximal set of
@@ -126,31 +120,12 @@ def check_dimension_guard(dim: int, allow_big: bool) -> None:
             "(pass the override to force)")
 
 
-def _check_guard(dim: int, count: int, allow_big: bool) -> None:
-    check_dimension_guard(dim, allow_big)
-    if not allow_big and count > MAX_VERTICES:
+def _check_guard(vp: VPolytope, allow_big: bool) -> None:
+    check_dimension_guard(vp.dim, allow_big)
+    if not allow_big and len(vp.vertices) > MAX_VERTICES:
         raise GuardRailError(
-            f"triangulation refused: {count} vertices exceed "
+            f"triangulation refused: {len(vp.vertices)} vertices exceed "
             f"{MAX_VERTICES} (pass the override to force)")
-
-
-def _scaled_points(vp: VPolytope) -> tuple[list[tuple[int, ...]], int]:
-    """``vp``'s points times the lcm of their denominators, and that lcm."""
-    scale = math.lcm(*(v.denominator for p in vp.vertices for v in p))
-    return [tuple(v.numerator * (scale // v.denominator) for v in p)
-            for p in vp.vertices], scale
-
-
-def _scaled_rays(
-        rays: list[tuple[int, ...]]) -> tuple[list[tuple[int, ...]], int]:
-    """Rays (y_0, y), y_0 > 0, as the points y / y_0 times the lcm of the y_0.
-
-    Returns the sorted, deduplicated rows and that lcm; for primitive rays,
-    the same as ``_scaled_points`` of those points.
-    """
-    scale = math.lcm(*(r[0] for r in rays))
-    rows = {tuple(v * (scale // r[0]) for v in r[1:]) for r in rays}
-    return sorted(rows), scale
 
 
 def triangulate(vp: VPolytope, *, allow_big: bool = False) -> Triangulation:
@@ -161,37 +136,15 @@ def triangulate(vp: VPolytope, *, allow_big: bool = False) -> Triangulation:
     boundary simplices.  Returns an empty triangulation when the affine hull has
     deficient dimension.  Refuses oversized inputs unless ``allow_big``.
     """
-    _check_guard(vp.dim, len(vp.vertices), allow_big)
-    ipts, scale = _scaled_points(vp)
-    simplices, total = _place(ipts, vp.dim)
-    return Triangulation(vp, simplices, Fraction(total, scale ** vp.dim))
-
-
-def rays_volume(rays: list[tuple[int, ...]], dim: int, *,
-                allow_big: bool = False) -> Fraction:
-    """Z^dim volume of the polytope whose vertices are given as rays.
-
-    ``rays`` are primitive integer rays (y_0, y), y_0 > 0, each standing for
-    the point y / y_0, as ``geometry.vertex_rays`` returns them.  The same
-    guard rails, placing order, simplices and volume as ``triangulate`` of
-    those points, without building them as ``Fraction``s.
-    """
-    ipts, scale = _scaled_rays(rays)
-    _check_guard(dim, len(ipts), allow_big)
-    return Fraction(_place(ipts, dim)[1], scale ** dim)
-
-
-def _place(ipts: list[tuple[int, ...]],
-           d: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Placing triangulation of lex-sorted distinct integer points in Z^d.
-
-    Returns the simplices, as index tuples into ``ipts``, and the sum of
-    their normalized volumes.  Points of deficient affine dimension give
-    ``((), 0)``.
-    """
-    count = len(ipts)
+    _check_guard(vp, allow_big)
+    pts = vp.vertices
+    d = vp.dim
+    count = len(pts)
     if count < d + 1:
-        return (), 0
+        return Triangulation(vp, (), Fraction(0))
+
+    scale = math.lcm(*(v.denominator for p in pts for v in p))
+    ipts = [[v.numerator * (scale // v.denominator) for v in p] for p in pts]
 
     # Eliminate [B | I], B with columns (1, v).  B's pivot columns are the
     # greedy seed: the first point and each point that extends the affine
@@ -205,7 +158,7 @@ def _place(ipts: list[tuple[int, ...]],
         row.extend(int(c == r) for c in range(d + 1))
     pivots, last = bareiss(rows)
     if pivots[-1] >= count:
-        return (), 0
+        return Triangulation(vp, (), Fraction(0))
 
     hpts = [(*p, -1) for p in ipts]
     seed = tuple(pivots)
@@ -306,7 +259,7 @@ def _place(ipts: list[tuple[int, ...]],
         for f in made.values():
             hull[f.bit] = f
 
-    return tuple(simplices), total
+    return Triangulation(vp, tuple(simplices), Fraction(total, scale ** d))
 
 
 def triangulation_lattice_volume(t: Triangulation) -> Fraction:

@@ -1,6 +1,9 @@
-"""Checks that only the tests use: V/H agreement and the triple-lemma count."""
+"""Checks that only the tests use: V/H agreement, vertex enumeration through
+``VPolytope``'s own normalization, and the triple-lemma count."""
 
-from clawvol.geometry import HPolytope, VPolytope, vertex_enumeration
+from fractions import Fraction
+
+from clawvol.geometry import HPolytope, VPolytope, vertex_enumeration, vertex_rays
 
 
 def vh_consistent(vp: VPolytope, hp: HPolytope) -> bool:
@@ -15,6 +18,21 @@ def vh_consistent(vp: VPolytope, hp: HPolytope) -> bool:
     if not all(hp.contains(p) for p in vp.vertices):
         return False
     return set(vertex_enumeration(hp).vertices) <= set(vp.vertices)
+
+
+def normalized_vertices(hp: HPolytope) -> VPolytope:
+    """Reference for ``vertex_enumeration``: each ray's point y / y_0 (int
+    coordinates when y_0 = 1), deduplicated and sorted by ``VPolytope``'s
+    own normalization."""
+    return VPolytope(hp.dim, tuple(
+        r[1:] if r[0] == 1 else tuple(Fraction(v, r[0]) for v in r[1:])
+        for r in vertex_rays(hp)))
+
+
+def same_points(a: VPolytope, b: VPolytope) -> bool:
+    """Equal points in the same order, each coordinate of the same type."""
+    return a == b and ([tuple(map(type, p)) for p in a.vertices]
+                       == [tuple(map(type, p)) for p in b.vertices])
 
 
 def delta_mask(a: int, b: int, c: int) -> int:

@@ -74,7 +74,7 @@ def triangulate(vp: VPolytope, *, allow_big: bool = False) -> Triangulation:
     boundary facets.  Returns an empty triangulation when the affine hull has
     deficient dimension.  Refuses oversized inputs unless ``allow_big``.
     """
-    _check_guard(vp.dim, len(vp.vertices), allow_big)
+    _check_guard(vp, allow_big)
     pts = vp.vertices
     d = vp.dim
     count = len(pts)

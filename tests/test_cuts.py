@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from clawvol import cuts, volume
+from clawvol import cuts, geometry, volume
 from clawvol.clawpoly import (
     MINUS,
     PLUS,
@@ -24,15 +24,19 @@ from clawvol.cuts import (
     check_lemma,
     cut_piece,
     lemma_claims,
-    piece_vertices,
     piece_volume,
     run_lemma,
 )
 from clawvol.formulas import degree_rational
-from clawvol.geometry import GuardRailError, vertex_enumeration, vertex_rays
+from clawvol.geometry import GuardRailError, vertex_enumeration
 from clawvol.groups import Z2, Z2xZ2, Z3
 from clawvol.volume import lattice_volume
-from helpers import count_singleton_delta_triples, delta_mask
+from helpers import (
+    count_singleton_delta_triples,
+    delta_mask,
+    normalized_vertices,
+    same_points,
+)
 
 F = Fraction
 
@@ -183,7 +187,7 @@ def test_volume_claim_refused_on_dimension_before_vertex_enumeration(monkeypatch
     def enumerate_vertices(hp):
         raise Enumerated
 
-    monkeypatch.setattr(cuts, "vertex_rays", enumerate_vertices)
+    monkeypatch.setattr(geometry, "vertex_rays", enumerate_vertices)
     claim = lemma_claims("z3-single-cut-volume", 8)[0]
     with pytest.raises(GuardRailError, match="dimension 16 exceeds 14"):
         check_lemma(claim)
@@ -204,13 +208,10 @@ def test_piece_volume_refuses_too_many_vertices(monkeypatch):
     # one z3 facet cut at n = 2 has 8 vertices
     spec = CutSpec(Z3, 2, (tuple_cut(2, (2, 0), 1),))
     monkeypatch.setattr(volume, "MAX_VERTICES", 7)
-    message = "triangulation refused: 8 vertices exceed 7 (pass the override to force)"
     with pytest.raises(GuardRailError) as refused:
         piece_volume(spec)
-    assert str(refused.value) == message
-    with pytest.raises(GuardRailError) as by_vertices:
-        lattice_volume(piece_vertices(spec))
-    assert str(by_vertices.value) == message
+    assert str(refused.value) == (
+        "triangulation refused: 8 vertices exceed 7 (pass the override to force)")
     assert piece_volume(spec, allow_big=True) == 3
 
 
@@ -247,15 +248,14 @@ def volume_pieces():
         yield lemma_claims(lemma_id, n)[0].spec
 
 
-def test_rays_volume_matches_vertex_volume():
-    # piece_volume skips the Fraction vertices; the placing must see the
-    # same integer rows, so the volume is the one of the vertex route.
+def test_volume_pieces_are_stored_as_vpolytope_would():
+    # vertex_enumeration skips VPolytope's own normalization; every piece's
+    # points, their order and their types must be what it would give, so
+    # triangulate places them the same way.
     checked = 0
     for spec in volume_pieces():
-        vp = piece_vertices(spec)
-        rows = volume._scaled_rays(vertex_rays(cut_piece(spec)))
-        assert rows == volume._scaled_points(vp)
-        assert piece_volume(spec) == lattice_volume(vp)
+        hp = cut_piece(spec)
+        assert same_points(vertex_enumeration(hp), normalized_vertices(hp))
         checked += 1
     assert checked == 770
 

@@ -11,7 +11,7 @@ from click.testing import CliRunner
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from clawvol import cli, clawpoly, geometry, volume
+from clawvol import cli, clawpoly, geometry
 from clawvol.cuts import CutSpec, cut_piece, lemma_claims, piece_vertices
 from clawvol.geometry import (
     HPolytope,
@@ -24,7 +24,6 @@ from clawvol.geometry import (
     bareiss,
     lattice_index,
     vertex_enumeration,
-    vertex_rays,
 )
 from clawvol.geometry import (
     _cone_rows,
@@ -34,7 +33,7 @@ from clawvol.geometry import (
     _scaled_integers,
 )
 from clawvol.serialize import dumps, vpolytope_to_doc, write_ext
-from helpers import vh_consistent
+from helpers import normalized_vertices, same_points, vh_consistent
 
 F = Fraction
 
@@ -397,14 +396,10 @@ def test_int_points_answer_like_their_fractions(hp, data):
 
 @settings(max_examples=100, deadline=None)
 @given(boxed_polytopes())
-def test_rays_feed_the_placing_the_points_of_vertex_enumeration(hp):
-    rays = vertex_rays(hp)
-    vp = vertex_enumeration(hp)
-    rows = volume._scaled_rays(rays)
-    assert rows == volume._scaled_points(vp)
-    t = volume.triangulate(vp)
-    assert volume._place(rows[0], hp.dim)[0] == t.simplices
-    assert volume.rays_volume(rays, hp.dim) == t.volume
+def test_vertex_enumeration_stores_what_vpolytope_would(hp):
+    # vertex_enumeration sorts the rays by their integer rows and skips
+    # VPolytope's own normalization of the points.
+    assert same_points(vertex_enumeration(hp), normalized_vertices(hp))
 
 
 def convex_combination(points, weights):
