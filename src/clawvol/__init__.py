@@ -36,7 +36,6 @@ from .cuts import (
 from .formulas import FormulaError, cut_formula, degree, degree_table
 from .geometry import (
     GeometryError,
-    GuardRailError,
     HPolytope,
     HalfSpace,
     LatticeBasis,
@@ -56,7 +55,6 @@ from .groups import (
     Z3,
     apply_action,
     group_by_name,
-    random_action,
     zero_sum_tuples,
 )
 from .verify import METHODS, degree_by_method, verify_degree
@@ -75,11 +73,11 @@ __all__ = [
     "CutSpec", "LEMMA_IDS", "LemmaClaim", "assemble", "check_lemma",
     "cut_piece", "lemma_claims", "piece_volume", "run_lemma",
     "FormulaError", "cut_formula", "degree", "degree_table",
-    "GeometryError", "GuardRailError", "HPolytope", "HalfSpace",
+    "GeometryError", "HPolytope", "HalfSpace",
     "LatticeBasis", "RankDeficientError", "UnboundedError", "VPolytope",
     "affine_dim", "lattice_index", "vertex_enumeration",
     "GROUPS", "Group", "SymmetryAction", "Z2", "Z2xZ2", "Z3",
-    "apply_action", "group_by_name", "random_action", "zero_sum_tuples",
+    "apply_action", "group_by_name", "zero_sum_tuples",
     "METHODS", "degree_by_method", "verify_degree",
     "Triangulation", "lattice_volume", "triangulate",
     "__version__",

@@ -280,5 +280,9 @@ def lattice(group: Group, n: int) -> LatticeBasis:
 
 
 def model_lattice_index(group: Group) -> int:
-    """Index of the model lattice inside Z^dim: 2, 4, 3 for Z2, Z2xZ2, Z3."""
-    return {Z2: 2, Z2xZ2: 4, Z3: 3}[group]
+    """Index of the model lattice inside Z^dim: the order of the group.
+
+    Sending the unit vector of block j and element g to g maps Z^dim onto
+    the group, and the model lattice is the kernel of that map.
+    """
+    return group.order

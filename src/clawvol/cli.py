@@ -4,9 +4,10 @@ Verbs: vertices, facets, volume, degree, assemble, verify, lemma, table.
 Output is deterministic; identical commands give byte-identical results.
 
 Exit codes: 0 success, 1 verification failure (a refuted claim or a
-cross-check mismatch), 2 usage error, 3 guard-rail refusal.  Guard rails
-can be lifted with --override-guard or the CLAWVOL_OVERRIDE_GUARD
-environment variable.
+cross-check mismatch), 2 usage error, 3 guard-rail refusal.  Every guard
+rail is decided in ``_guard`` from the request alone, before any library
+call; the library computes whatever it is asked.  Guard rails can be lifted
+with --override-guard or the CLAWVOL_OVERRIDE_GUARD environment variable.
 """
 
 from __future__ import annotations
@@ -19,17 +20,20 @@ from pathlib import Path
 import click
 
 from . import __version__, serialize
+from .clawpoly import ambient_dim, model_lattice_index
 from .clawpoly import facets as claw_facets
-from .clawpoly import model_lattice_index
 from .clawpoly import vertices as claw_vertices
-from .cuts import LEMMA_GROUPS, LEMMA_IDS, run_lemma
+from .cuts import LEMMA_FAMILIES, LEMMA_GROUPS, LEMMA_IDS, VOLUME, run_lemma
 from .formulas import degree_table
-from .geometry import GuardRailError
-from .groups import group_by_name
+from .groups import Group, group_by_name
 from .serialize import rat_to_str
-from .verify import METHODS, degree_by_method, verify_degree, verify_doc, verify_text
+from .verify import METHODS, TRIANGULATION, degree_by_method, verify_degree
+from .verify import verify_doc, verify_text
 
 GUARD_ENV = "CLAWVOL_OVERRIDE_GUARD"
+MAX_DIM = 14
+MAX_VERTICES = 200
+MAX_TABLE_N = 20
 
 
 def _fail(code: int, kind: str, message: str) -> None:
@@ -43,12 +47,42 @@ def _handle_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except GuardRailError as exc:
-            _fail(3, "guard-rail", str(exc))
         except ValueError as exc:
             _fail(2, "usage", str(exc))
 
     return wrapper
+
+
+def _guard(override: bool, verb: str, group: Group, n: int, *,
+           methods: tuple[str, ...] = (), lemma_id: str | None = None) -> None:
+    """Exit 3 when a request is too big to run by default.
+
+    Triangulating the polytope (``degree``, ``volume`` or ``verify`` with
+    the triangulation among ``methods``) is refused above MAX_DIM
+    dimensions, then above MAX_VERTICES of its |G|^(n-1) vertices.  A
+    volume claim family (``lemma``) has the dimension check only: inside
+    it no piece has more than 80 vertices.  ``table`` is capped at
+    MAX_TABLE_N, n being the end of its range.  Nothing else is refused,
+    and an n below 2 is left to the library's usage error.
+    """
+    if override or n < 2:
+        return
+    if verb == "table":
+        if n > MAX_TABLE_N:
+            _fail(3, "guard-rail", f"table range ends at {n} > {MAX_TABLE_N}; "
+                  "pass the override to force")
+        return
+    volume_claims = verb == "lemma" and LEMMA_FAMILIES[lemma_id][1] == VOLUME
+    if not volume_claims and TRIANGULATION not in methods:
+        return
+    dim = ambient_dim(group, n)
+    if dim > MAX_DIM:
+        _fail(3, "guard-rail", f"triangulation refused: dimension {dim} "
+              f"exceeds {MAX_DIM} (pass the override to force)")
+    count = group.order ** (n - 1)
+    if count > MAX_VERTICES and not volume_claims:
+        _fail(3, "guard-rail", f"triangulation refused: {count} vertices "
+              f"exceed {MAX_VERTICES} (pass the override to force)")
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -141,7 +175,8 @@ def volume_cmd(group_name: str, n: int, method: str, output: str | None,
                override_guard: bool) -> None:
     """Lattice volume of the polytope in the standard lattice Z^d."""
     group = group_by_name(group_name)
-    value = degree_by_method(group, n, method, allow_big=override_guard)
+    _guard(override_guard, "volume", group, n, methods=(method,))
+    value = degree_by_method(group, n, method)
     value *= model_lattice_index(group)
     _emit(rat_to_str(value) + "\n", output)
 
@@ -158,7 +193,8 @@ def degree_cmd(group_name: str, n: int, method: str, output: str | None,
                override_guard: bool) -> None:
     """Degree: the volume measured in the model lattice."""
     group = group_by_name(group_name)
-    value = degree_by_method(group, n, method, allow_big=override_guard)
+    _guard(override_guard, "degree", group, n, methods=(method,))
+    value = degree_by_method(group, n, method)
     _emit(rat_to_str(value) + "\n", output)
 
 
@@ -192,7 +228,8 @@ def verify_cmd(group_name: str, n: int, methods: tuple[str, ...], fmt: str,
     for m in methods:
         picked = METHODS if m == "all" else (m,)
         selected += tuple(p for p in picked if p not in selected)
-    result = verify_degree(group, n, selected, allow_big=override_guard)
+    _guard(override_guard, "verify", group, n, methods=selected)
+    result = verify_degree(group, n, selected)
     if fmt == "text":
         text = verify_text(result)
     else:
@@ -221,7 +258,8 @@ def lemma_cmd(lemma_id: str, n: int, group_name: str | None, fmt: str,
         raise ValueError(
             f"lemma {lemma_id} concerns group {expected_group.name}, "
             f"not {group_name}")
-    records = run_lemma(lemma_id, n, allow_big=override_guard)
+    _guard(override_guard, "lemma", expected_group, n, lemma_id=lemma_id)
+    records = run_lemma(lemma_id, n)
     if fmt == "json":
         text = serialize.dumps(records)
     else:
@@ -249,6 +287,8 @@ def _parse_n_range(text: str) -> tuple[int, int]:
             raise ValueError
     except ValueError:
         raise ValueError(f"bad n range {text!r}; use N or N..M") from None
+    if not 2 <= lo <= hi:
+        raise ValueError(f"need 2 <= n_min <= n_max, got {lo}..{hi}")
     return lo, hi
 
 
@@ -266,7 +306,8 @@ def table_cmd(group_name: str, n_range: str, fmt: str, output: str | None,
     """Tabulate degrees over a range of n."""
     group = group_by_name(group_name)
     lo, hi = _parse_n_range(n_range)
-    rows = degree_table(group, lo, hi, allow_big=override_guard)
+    _guard(override_guard, "table", group, hi)
+    rows = degree_table(group, lo, hi)
     if fmt == "csv":
         lines = ["group,n,degree"]
         lines += [f"{group.name},{n},{deg}" for n, deg in rows]

@@ -17,7 +17,6 @@ from math import comb, factorial
 from typing import Iterable
 
 from .clawpoly import _check_n
-from .geometry import GuardRailError
 from .groups import Group, Z2, Z3
 
 Z2_CUT = "Z2Cut"
@@ -123,16 +122,8 @@ def cut_formula(tag: str, n: int, extra=None) -> Fraction:
     raise ValueError(f"unknown formula tag {tag!r}")
 
 
-MAX_TABLE_N = 20
-
-
-def degree_table(group: Group, n_min: int, n_max: int, *,
-                 allow_big: bool = False) -> list[tuple[int, int]]:
-    """Rows (n, degree) for n_min..n_max; values grow factorially, so the
-    range is capped at n = 20 unless overridden."""
+def degree_table(group: Group, n_min: int, n_max: int) -> list[tuple[int, int]]:
+    """Rows (n, degree) for n_min..n_max."""
     if not 2 <= n_min <= n_max:
         raise ValueError(f"need 2 <= n_min <= n_max, got {n_min}..{n_max}")
-    if n_max > MAX_TABLE_N and not allow_big:
-        raise GuardRailError(
-            f"table range ends at {n_max} > {MAX_TABLE_N}; pass the override to force")
     return [(n, degree(group, n)) for n in range(n_min, n_max + 1)]

@@ -46,10 +46,6 @@ class RankDeficientError(GeometryError):
     """Generators fail to span the ambient space."""
 
 
-class GuardRailError(GeometryError):
-    """A computation was refused because it exceeds the default size limits."""
-
-
 def _exact(v):
     """``v`` itself when it is an int or a ``Fraction``; refuse anything else."""
     if isinstance(v, (int, Fraction)):

@@ -48,6 +48,11 @@ gives the first d + 1 functionals and base volumes.  Three checks raise
 one hull facet besides its own, and a simplex whose height is not positive
 or whose base volume is not an integer.
 
+Nothing here refuses an input for its size.  The cost grows with the
+number of simplices, exponentially in n for the claw polytopes; the
+command line's guard rails decide from the request, before any vertex is
+built, what is too big to run by default.
+
 Volume convention: ``lattice_volume`` in a lattice L of index k inside Z^d
 is ``d! * euclidean volume / k``; a polytope of deficient affine dimension
 has volume 0.
@@ -61,17 +66,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter, mul
 
-from .geometry import (
-    GuardRailError,
-    LatticeBasis,
-    VPolytope,
-    _primitive,
-    bareiss,
-    lattice_index,
-)
-
-MAX_DIM = 14
-MAX_VERTICES = 200
+from .geometry import LatticeBasis, VPolytope, _primitive, bareiss, lattice_index
 
 
 @dataclass(frozen=True)
@@ -109,34 +104,14 @@ class _HullFacet:
         self.simplices = simplices
 
 
-def check_dimension_guard(dim: int, allow_big: bool) -> None:
-    """Refuse to triangulate in dimension above ``MAX_DIM`` unless ``allow_big``.
-
-    Needs only the dimension, so callers can refuse before enumerating vertices.
-    """
-    if not allow_big and dim > MAX_DIM:
-        raise GuardRailError(
-            f"triangulation refused: dimension {dim} exceeds {MAX_DIM} "
-            "(pass the override to force)")
-
-
-def _check_guard(vp: VPolytope, allow_big: bool) -> None:
-    check_dimension_guard(vp.dim, allow_big)
-    if not allow_big and len(vp.vertices) > MAX_VERTICES:
-        raise GuardRailError(
-            f"triangulation refused: {len(vp.vertices)} vertices exceed "
-            f"{MAX_VERTICES} (pass the override to force)")
-
-
-def triangulate(vp: VPolytope, *, allow_big: bool = False) -> Triangulation:
+def triangulate(vp: VPolytope) -> Triangulation:
     """Deterministic placing triangulation of a V-polytope, with its volume.
 
     Points are inserted in lexicographic order after a greedy full-dimensional
     seed simplex; each insertion cones the new point over the strictly visible
     boundary simplices.  Returns an empty triangulation when the affine hull has
-    deficient dimension.  Refuses oversized inputs unless ``allow_big``.
+    deficient dimension.
     """
-    _check_guard(vp, allow_big)
     pts = vp.vertices
     d = vp.dim
     count = len(pts)
@@ -267,15 +242,14 @@ def triangulation_lattice_volume(t: Triangulation) -> Fraction:
     return t.volume
 
 
-def lattice_volume(vp: VPolytope, basis: LatticeBasis | None = None, *,
-                   allow_big: bool = False) -> Fraction:
+def lattice_volume(vp: VPolytope, basis: LatticeBasis | None = None) -> Fraction:
     """Normalized volume dim! * euclidean / index(basis); basis None means Z^dim."""
     if basis is not None and basis.dim != vp.dim:
         raise ValueError(f"a basis of Z^{basis.dim} does not measure a polytope "
                          f"in R^{vp.dim}")
     if vp.is_empty():
         return Fraction(0)
-    vol = triangulation_lattice_volume(triangulate(vp, allow_big=allow_big))
+    vol = triangulation_lattice_volume(triangulate(vp))
     if basis is None:
         return vol
     return vol / lattice_index(basis)

@@ -12,7 +12,7 @@ from operator import attrgetter, mul
 from typing import Iterable
 
 from clawvol.geometry import VPolytope, _primitive, bareiss
-from clawvol.volume import Triangulation, _check_guard
+from clawvol.volume import Triangulation
 
 
 class _Facet:
@@ -66,15 +66,14 @@ def _mark_visible(p: tuple[int, ...], start: Iterable[_Facet]
     return visible, value
 
 
-def triangulate(vp: VPolytope, *, allow_big: bool = False) -> Triangulation:
+def triangulate(vp: VPolytope) -> Triangulation:
     """Deterministic placing triangulation of a V-polytope, with its volume.
 
     Points are inserted in lexicographic order after a greedy full-dimensional
     seed simplex; each insertion cones the new point over the strictly visible
     boundary facets.  Returns an empty triangulation when the affine hull has
-    deficient dimension.  Refuses oversized inputs unless ``allow_big``.
+    deficient dimension.
     """
-    _check_guard(vp, allow_big)
     pts = vp.vertices
     d = vp.dim
     count = len(pts)

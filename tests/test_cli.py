@@ -12,6 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import clawvol
+from clawvol import cli, geometry, verify
 from clawvol.cli import main
 
 
@@ -194,6 +195,70 @@ def test_guard_rail_exit_3_and_overrides(runner):
                     env={"CLAWVOL_OVERRIDE_GUARD": "1"})
     assert by_env.exit_code == 0
     assert by_env.stdout == by_flag.stdout
+
+
+class Reached(Exception):
+    """Raised by a spy: a refused request reached the library."""
+
+
+@pytest.fixture
+def spies(monkeypatch):
+    """Make the first heavy call of each guarded route raise ``Reached``."""
+    def spy(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(verify, "vertices", spy)
+    monkeypatch.setattr(geometry, "vertex_rays", spy)
+    # The CLI's own binding of formulas.degree_table.
+    monkeypatch.setattr(cli, "degree_table", spy)
+
+
+TOO_MANY = "triangulation refused: 243 vertices exceed 200 (pass the override to force)"
+TOO_HIGH = "triangulation refused: dimension {} exceeds 14 (pass the override to force)"
+
+
+@pytest.mark.parametrize("args, message", [
+    (("degree", "--group", "z3", "--n", "6", "--method", "triangulation"), TOO_MANY),
+    (("volume", "--group", "z3", "--n", "6"), TOO_MANY),
+    (("verify", "--group", "z3", "--n", "6"), TOO_MANY),
+    (("degree", "--group", "z2", "--n", "15", "--method", "triangulation"),
+     TOO_HIGH.format(15)),
+    (("volume", "--group", "z2", "--n", "15"), TOO_HIGH.format(15)),
+    (("verify", "--group", "z2", "--n", "15"), TOO_HIGH.format(15)),
+    (("lemma", "--lemma", "z3-single-cut-volume", "--n", "8"), TOO_HIGH.format(16)),
+    (("table", "--group", "z2", "--n", "21"),
+     "table range ends at 21 > 20; pass the override to force"),
+], ids=["degree-z3-6", "volume-z3-6", "verify-z3-6", "degree-z2-15",
+        "volume-z2-15", "verify-z2-15", "lemma-z3-8", "table-21"])
+def test_refusal_calls_no_library_code(runner, spies, args, message):
+    refused = invoke(runner, *args)
+    assert refused.exit_code == 3
+    assert refused.stdout == ""
+    assert refused.stderr == f"clawvol: error: guard-rail: {message}\n"
+    # The override lets the same request through to a spy.
+    forced = invoke(runner, *args, "--override-guard")
+    assert isinstance(forced.exception, Reached)
+
+
+@pytest.mark.parametrize("args, message", [
+    (("table", "--group", "z2", "--n", "25..21"), "need 2 <= n_min <= n_max, got 25..21"),
+    (("table", "--group", "z2", "--n", "1..25"), "need 2 <= n_min <= n_max, got 1..25"),
+    (("lemma", "--lemma", "z3-single-cut-volume", "--n", "8", "--group", "z2"),
+     "lemma z3-single-cut-volume concerns group z3, not z2"),
+    (("degree", "--group", "z4", "--n", "30", "--method", "triangulation"),
+     "unknown group 'z4'; expected one of: z2, z2xz2, z3"),
+], ids=["table-reversed", "table-from-1", "lemma-group", "unknown-group"])
+def test_usage_error_wins_over_refusal(runner, spies, args, message):
+    result = invoke(runner, *args)
+    assert result.exit_code == 2
+    assert result.stderr == f"clawvol: error: usage: {message}\n"
+
+
+def test_routes_that_do_not_triangulate_are_not_guarded(runner):
+    result = invoke(runner, "verify", "--group", "z2", "--n", "15",
+                    "--method", "formula", "--method", "inclusion-exclusion")
+    assert result.exit_code == 0
+    assert result.stdout.endswith("consistent: yes\n")
 
 
 def run_cli_process(*args, timeout=None):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from clawvol import cuts, geometry, volume
+from clawvol import cuts
 from clawvol.clawpoly import (
     MINUS,
     PLUS,
@@ -28,7 +28,7 @@ from clawvol.cuts import (
     run_lemma,
 )
 from clawvol.formulas import degree_rational
-from clawvol.geometry import GuardRailError, vertex_enumeration
+from clawvol.geometry import vertex_enumeration
 from clawvol.groups import Z2, Z2xZ2, Z3
 from clawvol.volume import lattice_volume
 from helpers import (
@@ -180,39 +180,11 @@ def test_full_lemma_suite_at_n_2():
                               "verdict"}
 
 
-def test_volume_claim_refused_on_dimension_before_vertex_enumeration(monkeypatch):
-    class Enumerated(Exception):
-        pass
-
-    def enumerate_vertices(hp):
-        raise Enumerated
-
-    monkeypatch.setattr(geometry, "vertex_rays", enumerate_vertices)
-    claim = lemma_claims("z3-single-cut-volume", 8)[0]
-    with pytest.raises(GuardRailError, match="dimension 16 exceeds 14"):
-        check_lemma(claim)
-    with pytest.raises(GuardRailError, match="dimension 16 exceeds 14"):
-        piece_volume(claim.spec)
-    with pytest.raises(Enumerated):
-        check_lemma(claim, allow_big=True)
-
-
 @pytest.mark.parametrize("lemma_id", LEMMA_IDS)
 @pytest.mark.parametrize("n", (-1, 0, 1))
 def test_every_lemma_refuses_n_below_2(lemma_id, n):
     with pytest.raises(ValueError, match=f"^n must be >= 2, got {n}$"):
         lemma_claims(lemma_id, n)
-
-
-def test_piece_volume_refuses_too_many_vertices(monkeypatch):
-    # one z3 facet cut at n = 2 has 8 vertices
-    spec = CutSpec(Z3, 2, (tuple_cut(2, (2, 0), 1),))
-    monkeypatch.setattr(volume, "MAX_VERTICES", 7)
-    with pytest.raises(GuardRailError) as refused:
-        piece_volume(spec)
-    assert str(refused.value) == (
-        "triangulation refused: 8 vertices exceed 7 (pass the override to force)")
-    assert piece_volume(spec, allow_big=True) == 3
 
 
 # Instance 0 of each volume family beyond the criterion-05 sizes.  The
