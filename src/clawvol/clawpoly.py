@@ -161,6 +161,18 @@ def cut_halfspace(cut: OddSubsetCut, side: str) -> HalfSpace:
 
 
 @functools.lru_cache(maxsize=8)
+def z3_minus_halfspaces(n: int, channel: int
+                        ) -> tuple[tuple[tuple[int, ...], HalfSpace], ...]:
+    """Each Z3 facet tuple C, in lexicographic order, with S_{C,channel} <= rhs.
+
+    Built once per (n, channel) and shared: a contained claim tests its
+    piece against every one of them.
+    """
+    return tuple((c, cut_halfspace(tuple_cut(n, c, channel), MINUS))
+                 for c in z3_facet_tuples(n))
+
+
+@functools.lru_cache(maxsize=8)
 def ambient(group: Group, n: int) -> HPolytope:
     """The box or product of unit simplices containing the polytope.
 

@@ -45,8 +45,8 @@ from .clawpoly import (
     ambient_dim,
     cut_halfspace,
     model_lattice_index,
-    tuple_cut,
     z3_facet_tuples,
+    z3_minus_halfspaces,
     z3_tuples,
 )
 from .formulas import (
@@ -314,8 +314,7 @@ def check_lemma(claim: LemmaClaim) -> Verdict:
         other = 2 if spec.cuts[0].channel == 1 else 1
         if verts.is_empty():
             return Verdict(True, "contained", "empty")
-        for c in z3_facet_tuples(spec.n):
-            target = cut_halfspace(tuple_cut(spec.n, c, other), MINUS)
+        for c, target in z3_minus_halfspaces(spec.n, other):
             if all(target.holds(v) for v in verts.vertices):
                 return Verdict(True, "contained",
                                f"C={list(c)} channel={other}")

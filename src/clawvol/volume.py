@@ -11,8 +11,12 @@ The boundary is kept as hull facets, beneath-beyond style (Joswig,
 "Beneath-and-beyond revisited", 2003).  A hull facet is a maximal set of
 coplanar boundary simplices; it holds its primitive inward affine
 functional h, stored as one homogeneous row and evaluated against (p, -1),
-a bit, and its boundary simplices with their creation serials and base
-volumes (normalized volumes in the lattice of the hyperplane).  Every placed
+a bit, and its boundary simplices.  A boundary simplex is kept as a record
+(serial, parent, position, base): its creation serial, the simplex it was
+cut from (the coned simplex it is a facet of, or the seed), the position of
+the parent's vertex it omits, and its normalized volume in the lattice of
+the hyperplane.  Its vertex tuple is sliced from the parent only when a
+later point cones it, which most boundary simplices never are.  Every placed
 point holds an incidence mask: the bits of the hull facets that contain it.
 A boundary simplex has its hull facet's functional, so each functional,
 visibility test and new facet is worked out once per hull facet.  Inserting
@@ -34,11 +38,14 @@ a point p:
   p.  Distinct pairs give distinct facets (Grünbaum's beneath-beyond
   theorem).  Its base volume is vol(f + p) / h(v), h its hull facet's
   functional and v the vertex of f off R;
-* a point's mask gains a facet's bit when it becomes a vertex of one of the
-  facet's simplices.  Ridges are tested only against the facets hidden
-  before p, so the facets made in a round are not seen in it.  At the end
-  of the round the visible facets are dropped, and their bits are cleared
-  from every mask and used again.
+* masks gain bits once per round, at its end.  A new facet's bit goes to
+  p and to every vertex of its horizon ridges (the OR of the ridges' point
+  bitmasks); a facet that p extends gives its bit to p only, since the
+  ridge's vertices already have it.  Nothing in the round reads the new
+  bits: ridges are tested only against the facets hidden before p, and p
+  is never a vertex of a simplex coned in its own round.  The visible
+  facets are then dropped, and their bits are cleared from every mask and
+  used again.
 
 Every boundary simplex gets a serial when it is made, so the simplices come
 out in the same order as from a scan of the boundary in creation order.
@@ -91,9 +98,12 @@ class _HullFacet:
     ``h`` is the primitive homogeneous row ``(normal, offset)``: its dot
     product with ``(x, -1)`` is zero on the facet and positive inside.
     ``bit`` is the index of the facet's bit in the points' incidence masks;
-    ``simplices`` lists the boundary simplices that make up the facet as
-    ``(serial, key, base)`` in serial order: ``key`` the sorted vertex
-    indices, ``base`` the normalized volume in the lattice of the hyperplane.
+    a point has it from the end of the round that made or extended the
+    facet with the point as a vertex.  ``simplices`` lists the boundary
+    simplices that make up the facet as ``(serial, parent, omit, base)`` in
+    serial order: the simplex's sorted vertex indices are ``parent`` with
+    position ``omit`` left out, and ``base`` is its normalized volume in the
+    lattice of the hyperplane.
     """
 
     __slots__ = ("h", "bit", "simplices")
@@ -149,9 +159,8 @@ def triangulate(vp: VPolytope) -> Triangulation:
         adj = [sign * v for v in rows[k][count:]]
         g = math.gcd(*adj)
         h = tuple(v // g for v in (*adj[1:], -adj[0]))
-        key = seed[:k] + seed[k + 1:]
-        hull[k] = _HullFacet(h, k, [(k, key, g)])
-        for v in key:
+        hull[k] = _HullFacet(h, k, [(k, seed, k, g)])
+        for v in seed[:k] + seed[k + 1:]:
             incidence[v] |= 1 << k
     serial = d + 1
     live = (1 << (d + 1)) - 1
@@ -168,14 +177,20 @@ def triangulate(vp: VPolytope) -> Triangulation:
         hidden = live ^ gone
         # Every boundary simplex of a visible facet is visible, and they
         # are coned to p in serial order.
-        todo = [(s, key, base, f) for f in visible for s, key, base in f.simplices]
+        todo = [(s, parent, omit, base, f)
+                for f in visible for s, parent, omit, base in f.simplices]
         todo.sort(key=itemgetter(0))
         # The new hull facets by (visible, hidden) pair, and the heights
         # of vertices over the facets that gain simplices: most new
-        # simplices share both with an earlier one of the round.
+        # simplices share both with an earlier one of the round.  ``spans``
+        # holds the vertices of each new facet's simplices but p, as a
+        # point bitmask; ``reach`` the bits of every facet p joins.
         made: dict[tuple[int, int], _HullFacet] = {}
+        spans: dict[int, int] = {}
         heights: dict[tuple[int, int], int] = {}
-        for _, key, base, f in todo:
+        reach = 0
+        for _, parent, omit, base, f in todo:
+            key = parent[:omit] + parent[omit + 1:]
             hf = value[f.bit]
             vol = -hf * base
             total += vol
@@ -197,6 +212,7 @@ def triangulate(vp: VPolytope) -> Triangulation:
             for j in range(d - 1, -1, -1):
                 others[j] = prefix[j] & acc
                 acc &= masks[j]
+            points = 0
             for j, other in enumerate(others):
                 if not other:
                     continue
@@ -205,8 +221,10 @@ def triangulate(vp: VPolytope) -> Triangulation:
                 k = other.bit_length() - 1
                 g = hull[k]
                 hg = value[k]
-                # p on G's hyperplane extends G; else F's and G's common
-                # face and p span a new facet, one per pair.
+                v = key[j]
+                # p on G's hyperplane extends G, whose bit the ridge's
+                # vertices already have; else F's and G's common face and
+                # p span a new facet, one per pair.
                 if hg == 0:
                     target = g
                 else:
@@ -216,22 +234,30 @@ def triangulate(vp: VPolytope) -> Triangulation:
                         bit = (~live & (live + 1)).bit_length() - 1
                         live |= 1 << bit
                         target = made[f.bit, k] = _HullFacet(h, bit, [])
-                v = key[j]
+                        spans[bit] = 0
+                    if not points:  # key's point bitmask, on first use
+                        for u in key:
+                            points |= 1 << u
+                    spans[target.bit] |= points ^ (1 << v)
+                reach |= 1 << target.bit
                 height = heights.get((target.bit, v))
                 if height is None:
                     height = heights[target.bit, v] = sum(map(mul, target.h, hpts[v]))
                 if height <= 0 or vol % height:
                     raise AssertionError("degenerate simplex in triangulation")
-                jj = j if j < q else j + 1
-                new = full[:jj] + full[jj + 1:]
-                target.simplices.append((serial, new, vol // height))
+                target.simplices.append((serial, full, j if j < q else j + 1, vol // height))
                 serial += 1
-                mark = 1 << target.bit
-                for v in new:
-                    incidence[v] |= mark
         live ^= gone
         incidence = [m & live for m in incidence]
+        incidence[i] = reach
+        # Each new facet's bit goes to the vertices of its simplices once.
         for f in made.values():
+            mark = 1 << f.bit
+            span = spans[f.bit]
+            while span:
+                low = span & -span
+                incidence[low.bit_length() - 1] |= mark
+                span ^= low
             hull[f.bit] = f
 
     return Triangulation(vp, tuple(simplices), Fraction(total, scale ** d))
