@@ -25,7 +25,7 @@ from .clawpoly import facets as claw_facets
 from .clawpoly import vertices as claw_vertices
 from .cuts import LEMMA_FAMILIES, LEMMA_GROUPS, LEMMA_IDS, VOLUME, run_lemma
 from .formulas import degree_table
-from .groups import Group, group_by_name
+from .groups import Z3, Group, group_by_name
 from .serialize import rat_to_str
 from .verify import METHODS, TRIANGULATION, degree_by_method, verify_degree
 from .verify import verify_doc, verify_text
@@ -34,6 +34,7 @@ GUARD_ENV = "CLAWVOL_OVERRIDE_GUARD"
 MAX_DIM = 14
 MAX_VERTICES = 200
 MAX_TABLE_N = 20
+MAX_ROWS = 2 ** 17
 
 
 def _fail(code: int, kind: str, message: str) -> None:
@@ -53,6 +54,16 @@ def _handle_errors(fn):
     return wrapper
 
 
+def _listed_rows(verb: str, group: Group, n: int) -> int:
+    """Lines ``vertices`` or ``facets`` would print: |G|^(n-1) vertices, or
+    the d + n ambient bounds and each channel's 2^(n-1) (Z2, Z2xZ2) or
+    3^(n-1) (Z3) facet cuts."""
+    if verb == "vertices":
+        return group.order ** (n - 1)
+    per_channel = (3 if group is Z3 else 2) ** (n - 1)
+    return ambient_dim(group, n) + n + len(group.nonzero) * per_channel
+
+
 def _guard(override: bool, verb: str, group: Group, n: int, *,
            methods: tuple[str, ...] = (), lemma_id: str | None = None) -> None:
     """Exit 3 when a request is too big to run by default.
@@ -62,10 +73,17 @@ def _guard(override: bool, verb: str, group: Group, n: int, *,
     dimensions, then above MAX_VERTICES of its |G|^(n-1) vertices.  A
     volume claim family (``lemma``) has the dimension check only: inside
     it no piece has more than 80 vertices.  ``table`` is capped at
-    MAX_TABLE_N, n being the end of its range.  Nothing else is refused,
-    and an n below 2 is left to the library's usage error.
+    MAX_TABLE_N, n being the end of its range, and ``vertices`` and
+    ``facets`` at MAX_ROWS listed rows.  Nothing else is refused, and an n
+    below 2 is left to the library's usage error.
     """
     if override or n < 2:
+        return
+    if verb in ("vertices", "facets"):
+        count = _listed_rows(verb, group, n)
+        if count > MAX_ROWS:
+            _fail(3, "guard-rail", f"listing refused: {count} {verb} exceed "
+                  f"{MAX_ROWS} (pass the override to force)")
         return
     if verb == "table":
         if n > MAX_TABLE_N:
@@ -124,10 +142,13 @@ def main(ctx: click.Context) -> None:
 @click.option("--format", "fmt", default="text",
               type=click.Choice(["text", "json", "ext"]))
 @_output_option
+@_guard_option
 @_handle_errors
-def vertices_cmd(group_name: str, n: int, fmt: str, output: str | None) -> None:
+def vertices_cmd(group_name: str, n: int, fmt: str, output: str | None,
+                 override_guard: bool) -> None:
     """List the polytope's vertices."""
     group = group_by_name(group_name)
+    _guard(override_guard, "vertices", group, n)
     vp = claw_vertices(group, n)
     if fmt == "text":
         lines = [" ".join(rat_to_str(x) for x in v) for v in vp.vertices]
@@ -145,10 +166,13 @@ def vertices_cmd(group_name: str, n: int, fmt: str, output: str | None) -> None:
 @click.option("--format", "fmt", default="text",
               type=click.Choice(["text", "json", "ine"]))
 @_output_option
+@_guard_option
 @_handle_errors
-def facets_cmd(group_name: str, n: int, fmt: str, output: str | None) -> None:
+def facets_cmd(group_name: str, n: int, fmt: str, output: str | None,
+               override_guard: bool) -> None:
     """List the facet inequalities <a, x> <= b."""
     group = group_by_name(group_name)
+    _guard(override_guard, "facets", group, n)
     hp = claw_facets(group, n)
     if fmt == "text":
         lines = [

@@ -33,6 +33,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import combinations, product
 from math import factorial
+from operator import mul
 from typing import Callable, Iterator
 
 from .clawpoly import (
@@ -307,25 +308,27 @@ def check_lemma(claim: LemmaClaim) -> Verdict:
     if claim.kind == FLAT:
         if verts.is_empty():
             return Verdict(True, "flat", "empty")
-        ad = affine_dim(verts.vertices)
+        ad = affine_dim(verts.rows)
         return Verdict(ad < ambient_dim(spec.group, spec.n), "flat", f"dim={ad}")
 
     if claim.kind == CONTAINED_EXISTS:
         other = 2 if spec.cuts[0].channel == 1 else 1
         if verts.is_empty():
             return Verdict(True, "contained", "empty")
+        # <normal, x> <= offset at x = row / scale, cleared of the scale.
         for c, target in z3_minus_halfspaces(spec.n, other):
-            if all(target.holds(v) for v in verts.vertices):
+            bound = target.offset * verts.scale
+            if all(sum(map(mul, target.normal, r)) <= bound for r in verts.rows):
                 return Verdict(True, "contained",
                                f"C={list(c)} channel={other}")
         return Verdict(False, "contained", "no containing cut found")
 
     if claim.kind == INTEGRAL_VERTICES:
-        bad = [v for v in verts.vertices
-               if any(x.denominator != 1 for x in v)]
-        if bad:
-            return Verdict(False, "integral", f"fractional vertex {bad[0]}")
-        return Verdict(True, "integral", f"{len(verts.vertices)} integral vertices")
+        if verts.scale != 1:
+            bad = next(v for v in verts.vertices
+                       if any(x.denominator != 1 for x in v))
+            return Verdict(False, "integral", f"fractional vertex {bad}")
+        return Verdict(True, "integral", f"{len(verts.rows)} integral vertices")
 
     raise ValueError(f"unknown claim kind {claim.kind!r}")
 

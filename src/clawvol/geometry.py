@@ -6,9 +6,10 @@ The central algorithm is a double description vertex enumerator working on
 integer homogeneous coordinates, which turns a halfspace description into
 the exact vertex set of a bounded polyhedron and reliably distinguishes
 empty from unbounded inputs.  ``vertex_rays`` returns that vertex set as
-the cone's primitive integer rays (y_0, y), one per vertex y / y_0, for
-callers that want integers; ``vertex_enumeration`` turns them into points,
-sorted by their integer rows rather than as ``Fraction``s.
+the cone's primitive integer rays (y_0, y), one per vertex y / y_0, and
+``vertex_enumeration`` keeps them as a ``VPolytope``'s integer rows
+y * (L / y_0), L the lcm of the y_0, sorted as ints; the vertices' points,
+with their ``Fraction``s, are built only if something reads them.
 A polytope built by ``with_halfspaces`` remembers the polytope it came
 from; the enumerator resumes from that base polytope's cone, computed once
 and kept on the base, and processes only the added rows.
@@ -20,7 +21,9 @@ Conventions:
   compares, hashes and sorts ``1`` and ``Fraction(1)`` as the same value);
 * a halfspace is ``{x : <normal, x> <= offset}``, stored as the primitive
   integer row ``(normal, offset)``;
-* vertex sets are kept deduplicated and lexicographically sorted.
+* vertex sets are kept deduplicated and lexicographically sorted, and a
+  ``VPolytope`` also as integer rows: its points times ``scale``, the lcm
+  of their denominators.  Consumers read the rows.
 """
 
 from __future__ import annotations
@@ -162,33 +165,67 @@ class HPolytope:
         return HPolytope(self.dim, self.halfspaces + tuple(extra), self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class VPolytope:
     """A polytope given by points; stored deduplicated and lex-sorted.
 
-    The stored points are not forced to be extreme.
+    The stored points are not forced to be extreme.  Every consumer reads
+    one integer form of them: ``scale`` is the lcm of the coordinates'
+    denominators, and ``rows`` are the integer rows ``scale * point``, in
+    the points' lexicographic order.  Equality and hashing use only
+    ``dim``, ``scale`` and ``rows``.
+
+    ``vertices`` is the points themselves.  ``VPolytope(dim, points)``
+    keeps the given coordinates; a polytope from ``vertex_enumeration``
+    holds only the rows and builds its points on first read, an int tuple
+    for each integral point and ``Fraction``s for the others.
     """
 
     dim: int
-    vertices: tuple[Point, ...]
+    scale: int
+    rows: tuple[tuple[int, ...], ...]
+    _points: tuple[Point, ...] | None = field(default=None, compare=False,
+                                              repr=False)
 
-    def __post_init__(self):
-        clean = tuple(sorted({tuple(map(_exact, p)) for p in self.vertices}))
-        object.__setattr__(self, "vertices", clean)
-        for p in clean:
-            _check_length(p, self.dim)
+    def __init__(self, dim: int, vertices: Iterable[Sequence]):
+        points = tuple(sorted({tuple(map(_exact, p)) for p in vertices}))
+        for p in points:
+            _check_length(p, dim)
+        scale = math.lcm(*(v.denominator for p in points for v in p))
+        rows = tuple(tuple(v.numerator * (scale // v.denominator) for v in p)
+                     for p in points)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_points", points)
 
     @classmethod
-    def _from_sorted(cls, dim: int, points: tuple[Point, ...]) -> VPolytope:
-        """Store ``points`` as they are: exact, of length ``dim``, distinct
-        and lex-sorted already, as ``vertex_enumeration`` makes them."""
+    def _from_rows(cls, dim: int, scale: int,
+                   rows: tuple[tuple[int, ...], ...]) -> VPolytope:
+        """Store integer rows as they are: of length ``dim``, distinct and
+        lex-sorted, with ``scale`` the lcm of the denominators of the
+        points row / scale, as ``vertex_enumeration`` makes them."""
         vp = object.__new__(cls)
         object.__setattr__(vp, "dim", dim)
-        object.__setattr__(vp, "vertices", points)
+        object.__setattr__(vp, "scale", scale)
+        object.__setattr__(vp, "rows", rows)
         return vp
 
+    @property
+    def vertices(self) -> tuple[Point, ...]:
+        """The points: as given, or built from the rows on first read."""
+        points = self._points
+        if points is None:
+            s = self.scale
+            points = tuple(
+                tuple(v // s for v in r) if all(v % s == 0 for v in r)
+                else tuple(Fraction(v, s) for v in r)
+                for r in self.rows)
+            object.__setattr__(self, "_points", points)
+        return points
+
     def is_empty(self) -> bool:
-        return not self.vertices
+        return not self.rows
 
 
 # ---------------------------------------------------------------------------
@@ -345,24 +382,18 @@ def vertex_enumeration(hp: HPolytope) -> VPolytope:
     """Exact vertex set of a bounded ``HPolytope``, from ``vertex_rays``.
 
     Empty when the constraints are infeasible; ``UnboundedError`` when the
-    feasible region is unbounded.  The rays are sorted by their integer
-    rows y * (L / y_0), L the lcm of the y_0, which order the vertices
-    y / y_0 lexicographically; distinct primitive rays are distinct
-    vertices, so no ``Fraction`` is hashed or compared.  A vertex whose ray
-    has y_0 = 1 keeps the ray's int coordinates; only the others become
-    ``Fraction``s.
+    feasible region is unbounded.  Each ray (y_0, y) becomes the integer
+    row y * (L / y_0), L the lcm of the y_0, which is the vertex y / y_0
+    scaled by L: the polytope's ``scale`` and ``rows``.  Sorting the rows
+    orders the vertices lexicographically, and distinct primitive rays are
+    distinct vertices, so no ``Fraction`` is built, hashed or compared.
     """
     rays = vertex_rays(hp)
     scale = math.lcm(*(r[0] for r in rays))
-
-    def row(r):
-        q = scale // r[0]
-        return [v * q for v in r[1:]]
-
-    rays.sort(key=row)
-    return VPolytope._from_sorted(hp.dim, tuple(
-        r[1:] if r[0] == 1 else tuple(Fraction(v, r[0]) for v in r[1:])
-        for r in rays))
+    rows = [r[1:] if r[0] == scale
+            else tuple(v * (scale // r[0]) for v in r[1:]) for r in rays]
+    rows.sort()
+    return VPolytope._from_rows(hp.dim, scale, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ The triangulation strategy is fixed: vertices are taken in their canonical
 lexicographic order, a first full-dimensional simplex is built greedily, and
 every later point is attached by coning over the boundary simplices it can
 see strictly.  Ties never arise because insertion order is the total lex
-order.  Points are scaled to a common denominator and all arithmetic is on
-integers, so results are exact.
+order.  It reads the polytope's integer rows, the points scaled to a
+common denominator, and all arithmetic is on integers, so results are
+exact.
 
 The boundary is kept as hull facets, beneath-beyond style (Joswig,
 "Beneath-and-beyond revisited", 2003).  A hull facet is a maximal set of
@@ -120,16 +121,14 @@ def triangulate(vp: VPolytope) -> Triangulation:
     Points are inserted in lexicographic order after a greedy full-dimensional
     seed simplex; each insertion cones the new point over the strictly visible
     boundary simplices.  Returns an empty triangulation when the affine hull has
-    deficient dimension.
+    deficient dimension.  Only ``vp.rows`` and ``vp.scale`` are read, so a
+    polytope from ``vertex_enumeration`` never builds its points here.
     """
-    pts = vp.vertices
+    ipts = vp.rows
     d = vp.dim
-    count = len(pts)
+    count = len(ipts)
     if count < d + 1:
         return Triangulation(vp, (), Fraction(0))
-
-    scale = math.lcm(*(v.denominator for p in pts for v in p))
-    ipts = [[v.numerator * (scale // v.denominator) for v in p] for p in pts]
 
     # Eliminate [B | I], B with columns (1, v).  B's pivot columns are the
     # greedy seed: the first point and each point that extends the affine
@@ -260,7 +259,7 @@ def triangulate(vp: VPolytope) -> Triangulation:
                 span ^= low
             hull[f.bit] = f
 
-    return Triangulation(vp, tuple(simplices), Fraction(total, scale ** d))
+    return Triangulation(vp, tuple(simplices), Fraction(total, vp.scale ** d))
 
 
 def triangulation_lattice_volume(t: Triangulation) -> Fraction:

@@ -1,9 +1,11 @@
 """Checks that only the tests use: V/H agreement, vertex enumeration through
-``VPolytope``'s own normalization, and the triple-lemma count."""
+``VPolytope``'s own normalization, the two ways of building a polytope
+triangulated side by side, and the triple-lemma count."""
 
 from fractions import Fraction
 
 from clawvol.geometry import HPolytope, VPolytope, vertex_enumeration, vertex_rays
+from clawvol.volume import triangulate
 
 
 def vh_consistent(vp: VPolytope, hp: HPolytope) -> bool:
@@ -27,6 +29,21 @@ def normalized_vertices(hp: HPolytope) -> VPolytope:
     return VPolytope(hp.dim, tuple(
         r[1:] if r[0] == 1 else tuple(Fraction(v, r[0]) for v in r[1:])
         for r in vertex_rays(hp)))
+
+
+def paths_agree(hp: HPolytope) -> bool:
+    """``vertex_enumeration``'s integer rows and ``normalized_vertices``'
+    points: equal polytopes with equal hashes, before and after the rows
+    build their points, giving the same simplices and volume."""
+    rows, points = vertex_enumeration(hp), normalized_vertices(hp)
+    before = hash(rows)
+    by_rows, by_points = triangulate(rows), triangulate(points)
+    same = (rows == points and before == hash(points)
+            and by_rows.simplices == by_points.simplices
+            and by_rows.volume == by_points.volume)
+    # Reading the points builds them; equality and hash must not move.
+    return (same and rows.vertices == points.vertices
+            and rows == points and hash(rows) == before)
 
 
 def same_points(a: VPolytope, b: VPolytope) -> bool:

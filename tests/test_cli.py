@@ -209,8 +209,11 @@ def spies(monkeypatch):
 
     monkeypatch.setattr(verify, "vertices", spy)
     monkeypatch.setattr(geometry, "vertex_rays", spy)
-    # The CLI's own binding of formulas.degree_table.
+    # The CLI's own bindings of formulas.degree_table and of
+    # clawpoly.vertices and clawpoly.facets.
     monkeypatch.setattr(cli, "degree_table", spy)
+    monkeypatch.setattr(cli, "claw_vertices", spy)
+    monkeypatch.setattr(cli, "claw_facets", spy)
 
 
 TOO_MANY = "triangulation refused: 243 vertices exceed 200 (pass the override to force)"
@@ -228,8 +231,19 @@ TOO_HIGH = "triangulation refused: dimension {} exceeds 14 (pass the override to
     (("lemma", "--lemma", "z3-single-cut-volume", "--n", "8"), TOO_HIGH.format(16)),
     (("table", "--group", "z2", "--n", "21"),
      "table range ends at 21 > 20; pass the override to force"),
+    (("vertices", "--group", "z3", "--n", "30"),
+     "listing refused: 68630377364883 vertices exceed 131072 "
+     "(pass the override to force)"),
+    (("vertices", "--group", "z2", "--n", "19"),
+     "listing refused: 262144 vertices exceed 131072 (pass the override to force)"),
+    (("facets", "--group", "z2", "--n", "40"),
+     "listing refused: 549755813968 facets exceed 131072 "
+     "(pass the override to force)"),
+    (("facets", "--group", "z2", "--n", "18"),
+     "listing refused: 131108 facets exceed 131072 (pass the override to force)"),
 ], ids=["degree-z3-6", "volume-z3-6", "verify-z3-6", "degree-z2-15",
-        "volume-z2-15", "verify-z2-15", "lemma-z3-8", "table-21"])
+        "volume-z2-15", "verify-z2-15", "lemma-z3-8", "table-21",
+        "vertices-z3-30", "vertices-z2-19", "facets-z2-40", "facets-z2-18"])
 def test_refusal_calls_no_library_code(runner, spies, args, message):
     refused = invoke(runner, *args)
     assert refused.exit_code == 3
@@ -252,6 +266,22 @@ def test_usage_error_wins_over_refusal(runner, spies, args, message):
     result = invoke(runner, *args)
     assert result.exit_code == 2
     assert result.stderr == f"clawvol: error: usage: {message}\n"
+
+
+def test_listing_at_the_row_cap_is_not_refused(runner, spies):
+    # 2^17 vertices is the cap itself; the request reaches the library.
+    reached = invoke(runner, "vertices", "--group", "z2", "--n", "18")
+    assert isinstance(reached.exception, Reached)
+
+
+@pytest.mark.parametrize("group_name", ["z2", "z2xz2", "z3"])
+def test_listed_rows_match_the_library(group_name):
+    group = clawvol.GROUPS[group_name]
+    for n in range(2, 6):
+        assert cli._listed_rows("vertices", group, n) == len(
+            clawvol.vertices(group, n).vertices)
+        assert cli._listed_rows("facets", group, n) == len(
+            clawvol.facets(group, n).halfspaces)
 
 
 def test_routes_that_do_not_triangulate_are_not_guarded(runner):

@@ -1,5 +1,6 @@
 """Cut pieces, the inclusion-exclusion assembly, and the lemma suite."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,11 +10,13 @@ from clawvol.clawpoly import (
     MINUS,
     PLUS,
     ambient,
+    ambient_dim,
     cut_halfspace,
     facet_cuts,
     model_lattice_index,
     subset_cut,
     tuple_cut,
+    z3_facet_tuples,
 )
 from clawvol.cuts import (
     LEMMA_GROUPS,
@@ -24,17 +27,19 @@ from clawvol.cuts import (
     check_lemma,
     cut_piece,
     lemma_claims,
+    piece_vertices,
     piece_volume,
     run_lemma,
 )
 from clawvol.formulas import degree_rational
-from clawvol.geometry import vertex_enumeration
+from clawvol.geometry import affine_dim, vertex_enumeration
 from clawvol.groups import Z2, Z2xZ2, Z3
 from clawvol.volume import lattice_volume
 from helpers import (
     count_singleton_delta_triples,
     delta_mask,
     normalized_vertices,
+    paths_agree,
     same_points,
 )
 
@@ -230,6 +235,80 @@ def test_volume_pieces_are_stored_as_vpolytope_would():
         assert same_points(vertex_enumeration(hp), normalized_vertices(hp))
         checked += 1
     assert checked == 770
+
+
+def test_integer_rows_and_points_triangulate_alike_on_every_volume_piece():
+    checked = 0
+    for spec in volume_pieces():
+        assert paths_agree(cut_piece(spec))
+        checked += 1
+    assert checked == 770
+
+
+@pytest.mark.parametrize("lemma_id", ["z3-single-cut-volume",
+                                      "z3-cross-channel-pair-volume",
+                                      "z2z2-cross-channel-pair-volume"])
+def test_volume_claims_never_build_points(monkeypatch, lemma_id):
+    # A volume claim measures the double description's integer rows; the
+    # points, with their Fractions, are built only when something reads them.
+    built = []
+
+    def recording(hp):
+        built.append(vertex_enumeration(hp))
+        return built[-1]
+
+    monkeypatch.setattr(cuts, "vertex_enumeration", recording)
+    for claim in lemma_claims(lemma_id, 3):
+        assert check_lemma(claim).confirmed
+    assert built and any(vp.scale > 1 for vp in built)
+    assert all(vp._points is None for vp in built)
+
+
+def points_verdict(claim):
+    """``check_lemma``'s verdict for a flat, contained or integral claim,
+    worked out on the piece's points: affine_dim of the points,
+    ``HalfSpace.holds`` per point, and each coordinate's denominator."""
+    spec = claim.spec
+    points = piece_vertices(spec).vertices
+    if claim.kind == cuts.FLAT:
+        if not points:
+            return Verdict(True, "flat", "empty")
+        ad = affine_dim(points)
+        return Verdict(ad < ambient_dim(spec.group, spec.n), "flat", f"dim={ad}")
+    if claim.kind == cuts.CONTAINED_EXISTS:
+        other = 2 if spec.cuts[0].channel == 1 else 1
+        if not points:
+            return Verdict(True, "contained", "empty")
+        for c in z3_facet_tuples(spec.n):
+            target = cut_halfspace(tuple_cut(spec.n, c, other), MINUS)
+            if all(target.holds(p) for p in points):
+                return Verdict(True, "contained", f"C={list(c)} channel={other}")
+        return Verdict(False, "contained", "no containing cut found")
+    bad = [p for p in points if any(x.denominator != 1 for x in p)]
+    if bad:
+        return Verdict(False, "integral", f"fractional vertex {bad[0]}")
+    return Verdict(True, "integral", f"{len(points)} integral vertices")
+
+
+def test_claims_on_integer_rows_match_their_points_versions():
+    # The contained family's pieces have half-integral vertices; the volume
+    # pieces, asked the other kinds of claim, are refuted as often as not.
+    claims = [*lemma_claims("z3-near-same-channel-contained", 3),
+              *lemma_claims("z3-near-same-channel-contained", 4),
+              *lemma_claims("z2z2-cut-lattice-points", 3),
+              *lemma_claims("z3-far-same-channel-flat", 3)]
+    for lemma_id in ("z3-single-cut-volume", "z3-cross-channel-pair-volume",
+                     "z2z2-triple-channel-volume"):
+        for claim in lemma_claims(lemma_id, 3):
+            kinds = [cuts.FLAT, cuts.INTEGRAL_VERTICES]
+            if claim.spec.group is Z3:
+                kinds.append(cuts.CONTAINED_EXISTS)
+            claims += [replace(claim, kind=k, expected=None) for k in kinds]
+    verdicts = [check_lemma(claim) for claim in claims]
+    assert verdicts == [points_verdict(claim) for claim in claims]
+    assert {(v.expected, v.confirmed) for v in verdicts} == {
+        (kind, confirmed) for kind in ("flat", "contained", "integral")
+        for confirmed in (True, False)}
 
 
 def test_unknown_lemma_rejected():

@@ -33,7 +33,7 @@ from clawvol.geometry import (
     _scaled_integers,
 )
 from clawvol.serialize import dumps, vpolytope_to_doc, write_ext
-from helpers import normalized_vertices, same_points, vh_consistent
+from helpers import normalized_vertices, paths_agree, same_points, vh_consistent
 
 F = Fraction
 
@@ -400,6 +400,12 @@ def test_vertex_enumeration_stores_what_vpolytope_would(hp):
     # vertex_enumeration sorts the rays by their integer rows and skips
     # VPolytope's own normalization of the points.
     assert same_points(vertex_enumeration(hp), normalized_vertices(hp))
+
+
+@settings(max_examples=100, deadline=None)
+@given(boxed_polytopes())
+def test_integer_rows_and_points_triangulate_alike(hp):
+    assert paths_agree(hp)
 
 
 def convex_combination(points, weights):
