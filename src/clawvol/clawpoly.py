@@ -9,6 +9,10 @@ Each polytope has one 0/1 vertex per zero-sum tuple over the group, and a
 facet system made of nonnegativity, per-block upper bounds, and a family of
 cut inequalities indexed by subsets of [n] (Z2, Z2xZ2) or by digit tuples in
 {0,1,2}^n (Z3) in two dual channels.
+
+A cut builds each side's halfspace once, on first use, and keeps it on the
+cut object.  ``cuts.lemma_claims`` shares one cut object among all the
+claims of a list that use it, so a claim list builds each halfspace once.
 """
 
 from __future__ import annotations
@@ -100,6 +104,16 @@ class OddSubsetCut:
         """JSON-ready hypothesis fragment."""
         return {"A": list(self.subset), "channel": self.channel_name()}
 
+    # Each side's halfspace is built on first use and kept on the cut, out
+    # of equality, hashing and repr; ``cut_halfspace`` reads them.
+    @functools.cached_property
+    def _minus(self) -> HalfSpace:
+        return HalfSpace(s_coefficients(self), self.rhs)
+
+    @functools.cached_property
+    def _plus(self) -> HalfSpace:
+        return HalfSpace(tuple(-c for c in s_coefficients(self)), -self.rhs)
+
 
 def subset_cut(group: Group, n: int, positions: Iterable[int],
                channel: int = 1) -> OddSubsetCut:
@@ -151,12 +165,14 @@ PLUS = "plus"
 
 
 def cut_halfspace(cut: OddSubsetCut, side: str) -> HalfSpace:
-    """The halfspace S_{A,g} <= rhs (minus) or S_{A,g} >= rhs (plus)."""
-    coeffs = s_coefficients(cut)
+    """The halfspace S_{A,g} <= rhs (minus) or S_{A,g} >= rhs (plus).
+
+    Built once per cut and side: a second call returns the same object.
+    """
     if side == MINUS:
-        return HalfSpace(coeffs, cut.rhs)
+        return cut._minus
     if side == PLUS:
-        return HalfSpace(tuple(-c for c in coeffs), -cut.rhs)
+        return cut._plus
     raise ValueError(f"side must be {MINUS!r} or {PLUS!r}, got {side!r}")
 
 

@@ -71,11 +71,12 @@ def _guard(override: bool, verb: str, group: Group, n: int, *,
     Triangulating the polytope (``degree``, ``volume`` or ``verify`` with
     the triangulation among ``methods``) is refused above MAX_DIM
     dimensions, then above MAX_VERTICES of its |G|^(n-1) vertices.  A
-    volume claim family (``lemma``) has the dimension check only: inside
-    it no piece has more than 80 vertices.  ``table`` is capped at
-    MAX_TABLE_N, n being the end of its range, and ``vertices`` and
-    ``facets`` at MAX_ROWS listed rows.  Nothing else is refused, and an n
-    below 2 is left to the library's usage error.
+    claim family (``lemma``) is refused above MAX_ROWS instances, counted
+    by the family's closed form; a volume family is first held to the
+    dimension check, since inside it no piece has more than 80 vertices.
+    ``table`` is capped at MAX_TABLE_N, n being the end of its range, and
+    ``vertices`` and ``facets`` at MAX_ROWS listed rows.  Nothing else is
+    refused, and an n below 2 is left to the library's usage error.
     """
     if override or n < 2:
         return
@@ -90,17 +91,29 @@ def _guard(override: bool, verb: str, group: Group, n: int, *,
             _fail(3, "guard-rail", f"table range ends at {n} > {MAX_TABLE_N}; "
                   "pass the override to force")
         return
-    volume_claims = verb == "lemma" and LEMMA_FAMILIES[lemma_id][1] == VOLUME
-    if not volume_claims and TRIANGULATION not in methods:
+    if verb == "lemma":
+        _, kind, _, instance_count = LEMMA_FAMILIES[lemma_id]
+        if kind == VOLUME:
+            _guard_dimension(group, n)
+        count = instance_count(n)
+        if count > MAX_ROWS:
+            _fail(3, "guard-rail", f"lemma refused: {count} instances exceed "
+                  f"{MAX_ROWS} (pass the override to force)")
         return
+    if TRIANGULATION not in methods:
+        return
+    _guard_dimension(group, n)
+    count = group.order ** (n - 1)
+    if count > MAX_VERTICES:
+        _fail(3, "guard-rail", f"triangulation refused: {count} vertices "
+              f"exceed {MAX_VERTICES} (pass the override to force)")
+
+
+def _guard_dimension(group: Group, n: int) -> None:
     dim = ambient_dim(group, n)
     if dim > MAX_DIM:
         _fail(3, "guard-rail", f"triangulation refused: dimension {dim} "
               f"exceeds {MAX_DIM} (pass the override to force)")
-    count = group.order ** (n - 1)
-    if count > MAX_VERTICES and not volume_claims:
-        _fail(3, "guard-rail", f"triangulation refused: {count} vertices "
-              f"exceed {MAX_VERTICES} (pass the override to force)")
 
 
 def _emit(text: str, output: str | None) -> None:

@@ -16,14 +16,21 @@ Claim kinds:
 * ``integral-vertices``: every vertex of the piece is integral.
 
 The 13 claim families live in one table, ``LEMMA_FAMILIES``: each id maps
-to its group, its claim kind and an ``instances(n)`` builder that yields
-every instance's cut indices, sides and closed-form value.
-``lemma_claims`` turns those into ``CutSpec`` and ``LemmaClaim`` objects in
-one place, and ``LEMMA_IDS`` and ``LEMMA_GROUPS`` are read from the table.
+to its group, its claim kind, an ``instances(n)`` builder that yields
+every instance's cut indices, sides and closed-form value, and the number
+of instances in closed form.  ``lemma_claims`` turns the instances into
+``CutSpec`` and ``LemmaClaim`` objects in one place, and ``LEMMA_IDS`` and
+``LEMMA_GROUPS`` are read from the table.
+
+Cuts are shared within a claim list: ``lemma_claims`` builds one
+``OddSubsetCut`` per distinct (A, channel), and each cut builds its
+halfspaces once, so ``cut_piece`` only appends prebuilt halfspaces to the
+shared ambient polytope.  Every check still enumerates its own piece.
 
 Every check runs at any n it is given.  The cost of a volume claim grows
-with the dimension (|G|-1)n; the command line refuses oversized families
-from the request alone, before any piece is enumerated.
+with the dimension (|G|-1)n, and the size of a claim list with the
+instance count; the command line refuses oversized families from the
+request alone, before any claim is built.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, product
-from math import factorial
+from math import comb, factorial
 from operator import mul
 from typing import Callable, Iterator
 
@@ -89,9 +96,10 @@ class CutSpec:
 
 
 def cut_piece(spec: CutSpec) -> HPolytope:
-    base = ambient(spec.group, spec.n)
-    extra = tuple(cut_halfspace(c, s) for c, s in zip(spec.cuts, spec.sides))
-    return base.with_halfspaces(extra)
+    """The shared ambient polytope with each cut's prebuilt halfspace
+    appended, so vertex enumeration resumes from the ambient's cone."""
+    return ambient(spec.group, spec.n).with_halfspaces(
+        map(cut_halfspace, spec.cuts, spec.sides))
 
 
 def piece_vertices(spec: CutSpec) -> VPolytope:
@@ -250,34 +258,76 @@ def _z3_cross_pairs(n):
             yield ((a, 1), (b, 2)), (), expected
 
 
-# The claim families: id -> (group, kind, instances), where instances(n)
-# yields the builders' triples.  ``lemma_claims`` turns them into claims.
-LEMMA_FAMILIES: dict[str, tuple[Group, str, Callable[[int], Iterator]]] = {
+# Closed-form instance counts.  Z3 pairs are counted by their difference
+# pattern: two tuples at Hamming distance k with equal digit sums differ by
+# a word in {1, 2}^k whose digit sum is 0 mod 3.
+
+def _pairs(k: int) -> int:
+    return k * (k - 1) // 2
+
+
+def _digit_words(length: int, residue: int) -> int:
+    """Words in {1, 2}^length whose digit sum is residue mod 3."""
+    sign = (-1) ** length
+    return (2 ** length + (2 * sign if residue == 0 else -sign)) // 3
+
+
+def _z3_far_count(n: int) -> int:
+    # 3^n ordered pairs per difference word, halved, on two channels.
+    return 3 ** n * sum(comb(n, k) * _digit_words(k, 0) for k in range(3, n + 1))
+
+
+def _z3_cross_flat_count(n: int) -> int:
+    # A pair is its first tuple and the word of position sums, which has at
+    # least two nonzero entries and total 1 mod 3; the first tuple is free
+    # except the one equal to the second.
+    words = sum(comb(n, m) * _digit_words(m, 1) for m in range(2, n + 1))
+    return (3 ** n - 1) * words
+
+
+# The claim families: id -> (group, kind, instances, count), where
+# instances(n) yields the builders' triples and count(n) is their number in
+# closed form.  ``lemma_claims`` turns the triples into claims; the command
+# line reads the count to refuse a family before any claim is built.
+LEMMA_FAMILIES: dict[str, tuple[Group, str, Callable[[int], Iterator],
+                                Callable[[int], int]]] = {
     "z2-single-cut-simplex":
-        (Z2, VOLUME, partial(_single_cut_volumes, Z2_CUT, (1,), _subsets)),
-    "z2-same-parity-pair-flat": (Z2, FLAT, partial(_same_parity_pairs, (1,))),
+        (Z2, VOLUME, partial(_single_cut_volumes, Z2_CUT, (1,), _subsets),
+         lambda n: 2 ** n),
+    "z2-same-parity-pair-flat": (Z2, FLAT, partial(_same_parity_pairs, (1,)),
+                                 lambda n: 2 * _pairs(2 ** (n - 1))),
     "z2z2-same-channel-pair-flat":
-        (Z2xZ2, FLAT, partial(_same_parity_pairs, (1, 2, 3))),
-    "z2z2-cut-lattice-points": (Z2xZ2, INTEGRAL_VERTICES, _z22_both_sides),
+        (Z2xZ2, FLAT, partial(_same_parity_pairs, (1, 2, 3)),
+         lambda n: 6 * _pairs(2 ** (n - 1))),
+    "z2z2-cut-lattice-points":
+        (Z2xZ2, INTEGRAL_VERTICES, _z22_both_sides, lambda n: 6 * 2 ** n),
     "z2z2-single-cut-volume": (Z2xZ2, VOLUME, partial(
-        _single_cut_volumes, Z22_ONE_FACET, (1, 2, 3), _subsets)),
-    "z2z2-cross-channel-pair-volume": (Z2xZ2, VOLUME, _z22_cross_pairs),
-    "z2z2-triple-channel-volume": (Z2xZ2, VOLUME, _z22_triples),
+        _single_cut_volumes, Z22_ONE_FACET, (1, 2, 3), _subsets),
+        lambda n: 3 * 2 ** n),
+    "z2z2-cross-channel-pair-volume":
+        (Z2xZ2, VOLUME, _z22_cross_pairs, lambda n: 3 * 4 ** n),
+    "z2z2-triple-channel-volume":
+        (Z2xZ2, VOLUME, _z22_triples, lambda n: 8 ** n // 2),
     "z3-far-same-channel-flat":
-        (Z3, FLAT, partial(_z3_same_channel_pairs, z3_tuples, lambda d: d > 2)),
+        (Z3, FLAT, partial(_z3_same_channel_pairs, z3_tuples, lambda d: d > 2),
+         _z3_far_count),
     "z3-near-same-channel-contained": (Z3, CONTAINED_EXISTS, partial(
-        _z3_same_channel_pairs, z3_facet_tuples, lambda d: d == 2)),
-    "z3-cross-channel-flat": (Z3, FLAT, _z3_cross_flat),
-    "z3-double-pair-flat": (Z3, FLAT, _z3_double_pairs),
+        _z3_same_channel_pairs, z3_facet_tuples, lambda d: d == 2),
+        lambda n: 2 * comb(n, 2) * 3 ** (n - 1)),
+    "z3-cross-channel-flat": (Z3, FLAT, _z3_cross_flat, _z3_cross_flat_count),
+    "z3-double-pair-flat":
+        (Z3, FLAT, _z3_double_pairs, lambda n: _pairs(3 ** (n - 1)) ** 2),
     "z3-single-cut-volume": (Z3, VOLUME, partial(
-        _single_cut_volumes, Z3_ONE_FACET, (1, 2), z3_tuples)),
-    "z3-cross-channel-pair-volume": (Z3, VOLUME, _z3_cross_pairs),
+        _single_cut_volumes, Z3_ONE_FACET, (1, 2), z3_tuples),
+        lambda n: 2 * 3 ** n),
+    "z3-cross-channel-pair-volume":
+        (Z3, VOLUME, _z3_cross_pairs, lambda n: n * 3 ** n),
 }
 
 LEMMA_IDS = tuple(LEMMA_FAMILIES)
 
 LEMMA_GROUPS: dict[str, Group] = {
-    lemma_id: group for lemma_id, (group, _, _) in LEMMA_FAMILIES.items()}
+    lemma_id: group for lemma_id, (group, *_) in LEMMA_FAMILIES.items()}
 
 
 def lemma_claims(lemma_id: str, n: int) -> tuple[LemmaClaim, ...]:
@@ -286,12 +336,19 @@ def lemma_claims(lemma_id: str, n: int) -> tuple[LemmaClaim, ...]:
     if lemma_id not in LEMMA_FAMILIES:
         known = ", ".join(LEMMA_IDS)
         raise ValueError(f"unknown lemma {lemma_id!r}; expected one of: {known}")
-    group, kind, instances = LEMMA_FAMILIES[lemma_id]
+    group, kind, instances, _ = LEMMA_FAMILIES[lemma_id]
+    # One cut object per (A, channel), shared by every claim that uses it,
+    # so each cut's halfspaces are built once for the whole list.
+    shared: dict[tuple, OddSubsetCut] = {}
+
+    def cut(key: tuple) -> OddSubsetCut:
+        found = shared.get(key)
+        if found is None:
+            found = shared[key] = OddSubsetCut(group, n, *key)
+        return found
+
     return tuple(
-        LemmaClaim(lemma_id,
-                   CutSpec(group, n,
-                           tuple(OddSubsetCut(group, n, a, g) for a, g in cuts),
-                           sides),
+        LemmaClaim(lemma_id, CutSpec(group, n, tuple(map(cut, cuts)), sides),
                    kind, expected)
         for cuts, sides, expected in instances(n))
 

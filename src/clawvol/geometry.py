@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from operator import mul, neg
 from typing import Iterable, Sequence
 
 Point = tuple[int | Fraction, ...]
@@ -107,25 +107,9 @@ class HalfSpace:
         _check_length(point, self.dim)
         return sum(map(mul, self.normal, point))
 
-    def holds(self, point: Sequence) -> bool:
-        _check_length(point, self.dim)
-        scaled, d = _integer_point(point)
-        return sum(map(mul, self.normal, scaled)) <= self.offset * d
-
     def flipped(self) -> "HalfSpace":
         """The opposite halfspace ``{x : <normal, x> >= offset}`` in <= form."""
         return HalfSpace(tuple(-a for a in self.normal), -self.offset)
-
-
-def _integer_point(point: Sequence) -> tuple[Sequence[int], int]:
-    """``(d * point, d)`` with d the lcm of the point's denominators.
-
-    An all-int point is its own scaled form, with d = 1.
-    """
-    if all(type(v) is int for v in point):
-        return point, 1
-    d = math.lcm(*(_exact(v).denominator for v in point))
-    return [v.numerator * d // v.denominator for v in point], d
 
 
 @dataclass(frozen=True)
@@ -145,21 +129,16 @@ class HPolytope:
                                 repr=False)
 
     def __post_init__(self):
-        for hs in self.halfspaces:
+        base = self.base
+        prefix = base is not None and base.dim == self.dim and (
+            self.halfspaces[:len(base.halfspaces)] == base.halfspaces)
+        # A base checked its own halfspaces; only the added ones are new.
+        for hs in self.halfspaces[len(base.halfspaces) if prefix else 0:]:
             if hs.dim != self.dim:
                 raise ValueError(
                     f"halfspace in R^{hs.dim} does not match ambient R^{self.dim}")
-        base = self.base
-        if base is not None and (
-                base.dim != self.dim
-                or self.halfspaces[:len(base.halfspaces)] != base.halfspaces):
+        if base is not None and not prefix:
             raise ValueError("the base's halfspaces must be a prefix of these")
-
-    def contains(self, point: Sequence) -> bool:
-        _check_length(point, self.dim)
-        scaled, d = _integer_point(point)
-        return all(sum(map(mul, hs.normal, scaled)) <= hs.offset * d
-                   for hs in self.halfspaces)
 
     def with_halfspaces(self, extra: Iterable[HalfSpace]) -> "HPolytope":
         return HPolytope(self.dim, self.halfspaces + tuple(extra), self)
@@ -291,7 +270,7 @@ def _dd_cone(rows: list[tuple[int, ...]], dim: int, start: tuple | None = None):
         # Case B: constraint is orthogonal to the lineality space; split the
         # current rays and combine adjacent positive/negative pairs.
         vals = [sum(map(mul, c, r)) for r in rays]
-        if all(v >= 0 for v in vals):
+        if min(vals, default=0) >= 0:
             zsets = [z | bit if v == 0 else z for z, v in zip(zsets, vals)]
             continue
 
@@ -333,7 +312,7 @@ def _dd_cone(rows: list[tuple[int, ...]], dim: int, start: tuple | None = None):
 
 def _halfspace_rows(halfspaces: Iterable[HalfSpace]) -> list[tuple[int, ...]]:
     """Cone rows ``b*y_0 - <a, y> >= 0`` of halfspaces ``<a, x> <= b``."""
-    return [(hs.offset, *(-a for a in hs.normal)) for hs in halfspaces]
+    return [(hs.offset, *map(neg, hs.normal)) for hs in halfspaces]
 
 
 def _cone_rows(hp: HPolytope) -> list[tuple[int, ...]]:

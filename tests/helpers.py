@@ -1,11 +1,49 @@
-"""Checks that only the tests use: V/H agreement, vertex enumeration through
-``VPolytope``'s own normalization, the two ways of building a polytope
-triangulated side by side, and the triple-lemma count."""
+"""Checks that only the tests use: exact point-in-halfspace tests, V/H
+agreement, vertex enumeration through ``VPolytope``'s own normalization, the
+two ways of building a polytope triangulated side by side, and the
+triple-lemma count."""
 
+import math
 from fractions import Fraction
+from operator import mul
+from typing import Sequence
 
-from clawvol.geometry import HPolytope, VPolytope, vertex_enumeration, vertex_rays
+from clawvol.geometry import (
+    HalfSpace,
+    HPolytope,
+    VPolytope,
+    _check_length,
+    _exact,
+    vertex_enumeration,
+    vertex_rays,
+)
 from clawvol.volume import triangulate
+
+
+def integer_point(point: Sequence) -> tuple[Sequence[int], int]:
+    """``(d * point, d)`` with d the lcm of the point's denominators.
+
+    An all-int point is its own scaled form, with d = 1; a float is refused.
+    """
+    if all(type(v) is int for v in point):
+        return point, 1
+    d = math.lcm(*(_exact(v).denominator for v in point))
+    return [v.numerator * d // v.denominator for v in point], d
+
+
+def holds(hs: HalfSpace, point: Sequence) -> bool:
+    """Does the point satisfy <normal, point> <= offset, exactly?"""
+    _check_length(point, hs.dim)
+    scaled, d = integer_point(point)
+    return sum(map(mul, hs.normal, scaled)) <= hs.offset * d
+
+
+def contains(hp: HPolytope, point: Sequence) -> bool:
+    """Does the point satisfy every halfspace of ``hp``, exactly?"""
+    _check_length(point, hp.dim)
+    scaled, d = integer_point(point)
+    return all(sum(map(mul, hs.normal, scaled)) <= hs.offset * d
+               for hs in hp.halfspaces)
 
 
 def vh_consistent(vp: VPolytope, hp: HPolytope) -> bool:
@@ -17,7 +55,7 @@ def vh_consistent(vp: VPolytope, hp: HPolytope) -> bool:
     """
     if vp.dim != hp.dim:
         return False
-    if not all(hp.contains(p) for p in vp.vertices):
+    if not all(contains(hp, p) for p in vp.vertices):
         return False
     return set(vertex_enumeration(hp).vertices) <= set(vp.vertices)
 

@@ -27,7 +27,7 @@ from clawvol.clawpoly import (
 from clawvol.geometry import lattice_index, vertex_enumeration
 from clawvol.groups import GROUPS, Z2, Z2xZ2, Z3
 from clawvol.volume import lattice_volume
-from helpers import vh_consistent
+from helpers import contains, holds, vh_consistent
 
 ALL_GROUPS = list(GROUPS.values())
 
@@ -104,9 +104,9 @@ def test_s_value_and_halfspace_sides():
     p_in = (Fraction(1), Fraction(0))   # S = -1 <= rhs 0
     p_out = (Fraction(0), Fraction(1))  # S = 1 >= 0
     assert cut_halfspace(cut, MINUS).value(p_in) == -1
-    assert cut_halfspace(cut, MINUS).holds(p_in)
-    assert not cut_halfspace(cut, MINUS).holds(p_out)
-    assert cut_halfspace(cut, PLUS).holds(p_out)
+    assert holds(cut_halfspace(cut, MINUS), p_in)
+    assert not holds(cut_halfspace(cut, MINUS), p_out)
+    assert holds(cut_halfspace(cut, PLUS), p_out)
     with pytest.raises(ValueError):
         cut_halfspace(cut, "sideways")
 
@@ -132,7 +132,7 @@ def test_facet_system_supports_vertices(group):
     vp = vertices(group, n)
     hp = facets(group, n)
     for v in vp.vertices:
-        assert hp.contains(v)
+        assert contains(hp, v)
     for cut in facet_cuts(group, n):
         minus = cut_halfspace(cut, MINUS)
         assert min(minus.value(v) for v in vp.vertices) == cut.rhs

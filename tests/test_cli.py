@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import clawvol
-from clawvol import cli, geometry, verify
+from clawvol import cli, cuts, geometry, verify
 from clawvol.cli import main
 
 
@@ -209,6 +209,8 @@ def spies(monkeypatch):
 
     monkeypatch.setattr(verify, "vertices", spy)
     monkeypatch.setattr(geometry, "vertex_rays", spy)
+    # run_lemma builds its claims through this module binding.
+    monkeypatch.setattr(cuts, "lemma_claims", spy)
     # The CLI's own bindings of formulas.degree_table and of
     # clawpoly.vertices and clawpoly.facets.
     monkeypatch.setattr(cli, "degree_table", spy)
@@ -229,6 +231,15 @@ TOO_HIGH = "triangulation refused: dimension {} exceeds 14 (pass the override to
     (("volume", "--group", "z2", "--n", "15"), TOO_HIGH.format(15)),
     (("verify", "--group", "z2", "--n", "15"), TOO_HIGH.format(15)),
     (("lemma", "--lemma", "z3-single-cut-volume", "--n", "8"), TOO_HIGH.format(16)),
+    # 8^7 / 2 instances exceed the cap too; the dimension is checked first.
+    (("lemma", "--lemma", "z2z2-triple-channel-volume", "--n", "7"),
+     TOO_HIGH.format(21)),
+    (("lemma", "--lemma", "z2-same-parity-pair-flat", "--n", "15"),
+     "lemma refused: 268419072 instances exceed 131072 "
+     "(pass the override to force)"),
+    (("lemma", "--lemma", "z3-double-pair-flat", "--n", "5"),
+     "lemma refused: 10497600 instances exceed 131072 "
+     "(pass the override to force)"),
     (("table", "--group", "z2", "--n", "21"),
      "table range ends at 21 > 20; pass the override to force"),
     (("vertices", "--group", "z3", "--n", "30"),
@@ -242,7 +253,8 @@ TOO_HIGH = "triangulation refused: dimension {} exceeds 14 (pass the override to
     (("facets", "--group", "z2", "--n", "18"),
      "listing refused: 131108 facets exceed 131072 (pass the override to force)"),
 ], ids=["degree-z3-6", "volume-z3-6", "verify-z3-6", "degree-z2-15",
-        "volume-z2-15", "verify-z2-15", "lemma-z3-8", "table-21",
+        "volume-z2-15", "verify-z2-15", "lemma-z3-8", "lemma-z2z2-7",
+        "lemma-flat-z2-15", "lemma-flat-z3-5", "table-21",
         "vertices-z3-30", "vertices-z2-19", "facets-z2-40", "facets-z2-18"])
 def test_refusal_calls_no_library_code(runner, spies, args, message):
     refused = invoke(runner, *args)
@@ -271,6 +283,13 @@ def test_usage_error_wins_over_refusal(runner, spies, args, message):
 def test_listing_at_the_row_cap_is_not_refused(runner, spies):
     # 2^17 vertices is the cap itself; the request reaches the library.
     reached = invoke(runner, "vertices", "--group", "z2", "--n", "18")
+    assert isinstance(reached.exception, Reached)
+
+
+def test_lemma_below_the_instance_cap_is_not_refused(runner, spies):
+    # 123201 instances, under 2^17: the request reaches the library.
+    reached = invoke(runner, "lemma", "--lemma", "z3-double-pair-flat",
+                     "--n", "4")
     assert isinstance(reached.exception, Reached)
 
 

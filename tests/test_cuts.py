@@ -1,27 +1,32 @@
 """Cut pieces, the inclusion-exclusion assembly, and the lemma suite."""
 
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from clawvol import cuts
+from clawvol import clawpoly, cuts
 from clawvol.clawpoly import (
     MINUS,
     PLUS,
+    OddSubsetCut,
     ambient,
     ambient_dim,
     cut_halfspace,
     facet_cuts,
     model_lattice_index,
+    s_coefficients,
     subset_cut,
     tuple_cut,
     z3_facet_tuples,
 )
 from clawvol.cuts import (
+    LEMMA_FAMILIES,
     LEMMA_GROUPS,
     LEMMA_IDS,
     CutSpec,
+    LemmaClaim,
     Verdict,
     assemble,
     check_lemma,
@@ -32,12 +37,13 @@ from clawvol.cuts import (
     run_lemma,
 )
 from clawvol.formulas import degree_rational
-from clawvol.geometry import affine_dim, vertex_enumeration
+from clawvol.geometry import HalfSpace, affine_dim, vertex_enumeration
 from clawvol.groups import Z2, Z2xZ2, Z3
 from clawvol.volume import lattice_volume
 from helpers import (
     count_singleton_delta_triples,
     delta_mask,
+    holds,
     normalized_vertices,
     paths_agree,
     same_points,
@@ -162,6 +168,13 @@ def test_lemma_instance_counts_frozen(lemma_id):
     assert len(lemma_claims(lemma_id, 3)) == N3_CLAIM_COUNTS[lemma_id]
 
 
+@pytest.mark.parametrize("lemma_id", LEMMA_IDS)
+def test_closed_form_counts_match_the_claim_lists(lemma_id):
+    count = LEMMA_FAMILIES[lemma_id][3]
+    for n in range(2, 4 if lemma_id == "z3-double-pair-flat" else 5):
+        assert count(n) == len(lemma_claims(lemma_id, n))
+
+
 def test_check_lemma_examples():
     # triple-channel piece with A = B = C = {1} at n = 2 has volume 5/2
     (claim,) = (c for c in lemma_claims("z2z2-triple-channel-volume", 2)
@@ -267,7 +280,7 @@ def test_volume_claims_never_build_points(monkeypatch, lemma_id):
 def points_verdict(claim):
     """``check_lemma``'s verdict for a flat, contained or integral claim,
     worked out on the piece's points: affine_dim of the points,
-    ``HalfSpace.holds`` per point, and each coordinate's denominator."""
+    ``helpers.holds`` per point, and each coordinate's denominator."""
     spec = claim.spec
     points = piece_vertices(spec).vertices
     if claim.kind == cuts.FLAT:
@@ -281,7 +294,7 @@ def points_verdict(claim):
             return Verdict(True, "contained", "empty")
         for c in z3_facet_tuples(spec.n):
             target = cut_halfspace(tuple_cut(spec.n, c, other), MINUS)
-            if all(target.holds(p) for p in points):
+            if all(holds(target, p) for p in points):
                 return Verdict(True, "contained", f"C={list(c)} channel={other}")
         return Verdict(False, "contained", "no containing cut found")
     bad = [p for p in points if any(x.denominator != 1 for x in p)]
@@ -316,3 +329,75 @@ def test_unknown_lemma_rejected():
         lemma_claims("z2-missing-lemma", 2)
     with pytest.raises(ValueError):
         run_lemma("z5-anything", 2)
+
+
+def fresh_claims(lemma_id, n):
+    """The family's claims with a new cut object in every place."""
+    group, kind, instances, _ = LEMMA_FAMILIES[lemma_id]
+    return tuple(
+        LemmaClaim(lemma_id, CutSpec(group, n, tuple(
+            OddSubsetCut(group, n, a, g) for a, g in pairs), sides), kind, expected)
+        for pairs, sides, expected in instances(n))
+
+
+@pytest.mark.parametrize("lemma_id", LEMMA_IDS)
+def test_claims_share_equal_cuts(lemma_id):
+    claims = lemma_claims(lemma_id, 3)
+    used = [c for claim in claims for c in claim.spec.cuts]
+    # Equal cuts are one object within a list ...
+    assert len({id(c) for c in used}) == len(set(used))
+    # ... and the claims are the ones built with a new cut in every place.
+    fresh = fresh_claims(lemma_id, 3)
+    assert claims == fresh
+    assert [hash(c) for c in claims] == [hash(c) for c in fresh]
+    assert [c.hypothesis() for c in claims] == [c.hypothesis() for c in fresh]
+    # Nothing outlives the list: a second call builds its own cuts.
+    if used:
+        again = lemma_claims(lemma_id, 3)[0].spec.cuts[0]
+        assert again == claims[0].spec.cuts[0]
+        assert again is not claims[0].spec.cuts[0]
+
+
+def test_cut_halfspaces_are_built_once_per_side():
+    distinct = {c for lemma_id in LEMMA_IDS
+                for claim in lemma_claims(lemma_id, 3) for c in claim.spec.cuts}
+    # Every cut at n = 3: 2^3 for Z2, 3 * 2^3 for Z2xZ2, 2 * 3^3 for Z3.
+    assert len(distinct) == 8 + 24 + 54
+    for cut in distinct:
+        coeffs = s_coefficients(cut)
+        built = {MINUS: HalfSpace(coeffs, cut.rhs),
+                 PLUS: HalfSpace(tuple(-c for c in coeffs), -cut.rhs)}
+        for side in (MINUS, PLUS):
+            first = cut_halfspace(cut, side)
+            assert first == built[side]
+            assert cut_halfspace(cut, side) is first
+        # The memo is invisible to equality, hashing and repr.
+        copy = OddSubsetCut(cut.group, cut.n, cut.subset, cut.channel)
+        assert copy == cut and hash(copy) == hash(cut) and repr(copy) == repr(cut)
+
+
+def test_a_claim_list_builds_each_halfspace_once(monkeypatch):
+    calls = Counter()
+
+    def counting(cut):
+        calls[cut] += 1
+        return s_coefficients(cut)
+
+    pieces = []
+
+    def enumerating(hp):
+        pieces.append(hp)
+        return vertex_enumeration(hp)
+
+    monkeypatch.setattr(clawpoly, "s_coefficients", counting)
+    monkeypatch.setattr(cuts, "vertex_enumeration", enumerating)
+    claims = lemma_claims("z3-double-pair-flat", 3)
+    assert all(check_lemma(claim).confirmed for claim in claims)
+    # Only minus sides: one call per distinct cut, however many claims.
+    distinct = {c for claim in claims for c in claim.spec.cuts}
+    assert dict(calls) == dict.fromkeys(distinct, 1)
+    assert len(claims) == 1296 and len(distinct) == 18
+    # Every claim still enumerates its own piece.
+    assert len(pieces) == len(claims)
+    assert [p.halfspaces for p in pieces] == [
+        cut_piece(c.spec).halfspaces for c in claims]

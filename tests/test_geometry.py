@@ -33,7 +33,14 @@ from clawvol.geometry import (
     _scaled_integers,
 )
 from clawvol.serialize import dumps, vpolytope_to_doc, write_ext
-from helpers import normalized_vertices, paths_agree, same_points, vh_consistent
+from helpers import (
+    contains,
+    holds,
+    normalized_vertices,
+    paths_agree,
+    same_points,
+    vh_consistent,
+)
 
 F = Fraction
 
@@ -57,9 +64,9 @@ def box(*bounds) -> HPolytope:
 def test_halfspace_basics():
     h = HalfSpace((1, -2), 3)
     assert h.value(pt(1, 0)) == 1
-    assert h.holds(pt(3, 0)) and h.value(pt(3, 0)) == h.offset
-    assert not h.holds(pt(4, 0))
-    assert h.flipped().holds(pt(4, 0))
+    assert holds(h, pt(3, 0)) and h.value(pt(3, 0)) == h.offset
+    assert not holds(h, pt(4, 0))
+    assert holds(h.flipped(), pt(4, 0))
     assert h.flipped() == HalfSpace((-1, 2), -3)
     # stored as the primitive integer row, orientation kept
     assert HalfSpace((2, -4), 6) == h
@@ -77,8 +84,8 @@ def test_halfspace_basics():
     lambda: VPolytope(2, ((0, 0), (1, 1.0))),
     lambda: LatticeBasis(1, ((1.0,),)),
     lambda: affine_dim([(0, 0), (0.5, 1)]),
-    lambda: HalfSpace((1, 0), 1).holds((0.5, 0)),
-    lambda: box((0, 1), (0, 1)).contains((0, 0.5)),
+    lambda: holds(HalfSpace((1, 0), 1), (0.5, 0)),
+    lambda: contains(box((0, 1), (0, 1)), (0, 0.5)),
 ], ids=("halfspace-offset", "halfspace-normal", "vpolytope", "vpolytope-whole",
         "lattice", "affine-dim", "holds", "contains"))
 def test_floats_are_refused(build):
@@ -88,8 +95,8 @@ def test_floats_are_refused(build):
 
 @pytest.mark.parametrize("call", [
     lambda: HalfSpace((1, 1), 1).value((0, 0, 7)),
-    lambda: HalfSpace((1, 1), 1).holds((0,)),
-    lambda: HPolytope(2, (HalfSpace((1, 1), 1),)).contains((0, 0, 7, 7)),
+    lambda: holds(HalfSpace((1, 1), 1), (0,)),
+    lambda: contains(HPolytope(2, (HalfSpace((1, 1), 1),)), (0, 0, 7, 7)),
     lambda: affine_dim([(0,), (1, 5, 7)]),
 ], ids=("value", "holds", "contains", "affine-dim"))
 def test_points_of_the_wrong_length_are_refused(call):
@@ -99,8 +106,8 @@ def test_points_of_the_wrong_length_are_refused(call):
 
 def test_hpolytope_contains():
     hp = box((0, 1), (0, 1))
-    assert hp.contains(pt(F(1, 2), F(1, 2)))
-    assert not hp.contains(pt(2, 0))
+    assert contains(hp, pt(F(1, 2), F(1, 2)))
+    assert not contains(hp, pt(2, 0))
 
 
 def test_vpolytope_dedup_and_sort():
@@ -322,7 +329,7 @@ def brute_force_vertices(hp: HPolytope) -> tuple:
                     system[i] = [a - f * b for a, b in zip(system[i], system[c])]
         else:
             point = tuple(row[-1] for row in system)
-            if hp.contains(point):
+            if contains(hp, point):
                 found.add(point)
     return tuple(sorted(found))
 
@@ -379,8 +386,8 @@ def test_contains_matches_fraction_evaluation(hp, data):
     point = data.draw(st.tuples(*[coord] * hp.dim))
     exact = [sum(F(a) * v for a, v in zip(hs.normal, point)) <= hs.offset
              for hs in hp.halfspaces]
-    assert [hs.holds(point) for hs in hp.halfspaces] == exact
-    assert hp.contains(point) == all(exact)
+    assert [holds(hs, point) for hs in hp.halfspaces] == exact
+    assert contains(hp, point) == all(exact)
 
 
 @settings(max_examples=100, deadline=None)
@@ -389,9 +396,9 @@ def test_int_points_answer_like_their_fractions(hp, data):
     # An all-int point skips the scaling; its answers must not change.
     point = data.draw(st.tuples(*[st.integers(-3, 3)] * hp.dim))
     as_fractions = tuple(map(F, point))
-    assert ([hs.holds(point) for hs in hp.halfspaces]
-            == [hs.holds(as_fractions) for hs in hp.halfspaces])
-    assert hp.contains(point) == hp.contains(as_fractions)
+    assert ([holds(hs, point) for hs in hp.halfspaces]
+            == [holds(hs, as_fractions) for hs in hp.halfspaces])
+    assert contains(hp, point) == contains(hp, as_fractions)
 
 
 @settings(max_examples=100, deadline=None)
@@ -486,13 +493,13 @@ def test_halfspace_rescaling_and_holds(case):
     def exact(x):
         return sum(a * v for a, v in zip(normal, x)) <= offset
 
-    assert h.holds(point) == exact(point)
+    assert holds(h, point) == exact(point)
     i = next((i for i, a in enumerate(normal) if a), None)
     if i is not None:
         # move the point onto the boundary along coordinate i
         tight = list(point)
         tight[i] += (offset - sum(a * v for a, v in zip(normal, point))) / normal[i]
-        assert h.holds(tight) and h.flipped().holds(tight) and exact(tight)
+        assert holds(h, tight) and holds(h.flipped(), tight) and exact(tight)
 
 
 @pytest.mark.parametrize("hp", [
@@ -660,6 +667,17 @@ def test_base_must_be_a_prefix():
         HPolytope(2, square.halfspaces[1:], square)
     with pytest.raises(ValueError, match="prefix"):
         HPolytope(3, (), HPolytope(2, ()))
+
+
+def test_a_polytope_with_a_base_checks_the_halfspaces_it_adds():
+    square = box((0, 1), (0, 1))
+    with pytest.raises(ValueError, match=r"halfspace in R\^3 does not match"):
+        square.with_halfspaces((HalfSpace((1, 1), 1), HalfSpace((1, 1, 1), 1)))
+    with pytest.raises(ValueError, match=r"halfspace in R\^1 does not match"):
+        HPolytope(2, (*square.halfspaces, HalfSpace((1,), 1)), square)
+    # A base that is not a prefix is refused, however valid the rows are.
+    with pytest.raises(ValueError, match="prefix"):
+        HPolytope(2, (HalfSpace((1, 1), 1), *square.halfspaces), square)
 
 
 def test_base_is_invisible_to_equality_hash_and_repr():
