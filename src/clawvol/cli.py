@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import json
 import sys
-from pathlib import Path
+from collections.abc import Iterable
 
 import click
 
@@ -116,11 +116,13 @@ def _guard_dimension(group: Group, n: int) -> None:
               f"exceeds {MAX_DIM} (pass the override to force)")
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(pieces: Iterable[str], output: str | None) -> None:
+    """Write the pieces in order, so a listing is never held whole."""
     if output:
-        Path(output).write_text(text, encoding="utf-8")
+        with open(output, "w", encoding="utf-8") as out:
+            out.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 _group_option = click.option(
@@ -164,13 +166,12 @@ def vertices_cmd(group_name: str, n: int, fmt: str, output: str | None,
     _guard(override_guard, "vertices", group, n)
     vp = claw_vertices(group, n)
     if fmt == "text":
-        lines = [" ".join(rat_to_str(x) for x in v) for v in vp.vertices]
-        text = "\n".join(lines) + "\n"
+        lines = (" ".join(rat_to_str(x) for x in v) + "\n" for v in vp.vertices)
     elif fmt == "json":
-        text = serialize.dumps(serialize.vpolytope_to_doc(vp))
+        lines = serialize.vpolytope_json(vp)
     else:
-        text = serialize.write_ext(vp)
-    _emit(text, output)
+        lines = serialize.ext_lines(vp)
+    _emit(lines, output)
 
 
 @main.command("facets")
@@ -188,16 +189,16 @@ def facets_cmd(group_name: str, n: int, fmt: str, output: str | None,
     _guard(override_guard, "facets", group, n)
     hp = claw_facets(group, n)
     if fmt == "text":
-        lines = [
-            " ".join(rat_to_str(x) for x in h.normal) + " <= " + rat_to_str(h.offset)
+        lines = (
+            " ".join(rat_to_str(x) for x in h.normal) + " <= "
+            + rat_to_str(h.offset) + "\n"
             for h in hp.halfspaces
-        ]
-        text = "\n".join(lines) + "\n"
+        )
     elif fmt == "json":
-        text = serialize.dumps(serialize.hpolytope_to_doc(hp))
+        lines = serialize.hpolytope_json(hp)
     else:
-        text = serialize.write_ine(hp)
-    _emit(text, output)
+        lines = serialize.ine_lines(hp)
+    _emit(lines, output)
 
 
 @main.command("volume")
@@ -215,7 +216,7 @@ def volume_cmd(group_name: str, n: int, method: str, output: str | None,
     _guard(override_guard, "volume", group, n, methods=(method,))
     value = degree_by_method(group, n, method)
     value *= model_lattice_index(group)
-    _emit(rat_to_str(value) + "\n", output)
+    _emit([rat_to_str(value) + "\n"], output)
 
 
 @main.command("degree")
@@ -232,7 +233,7 @@ def degree_cmd(group_name: str, n: int, method: str, output: str | None,
     group = group_by_name(group_name)
     _guard(override_guard, "degree", group, n, methods=(method,))
     value = degree_by_method(group, n, method)
-    _emit(rat_to_str(value) + "\n", output)
+    _emit([rat_to_str(value) + "\n"], output)
 
 
 @main.command("assemble")
@@ -244,7 +245,7 @@ def assemble_cmd(group_name: str, n: int, output: str | None) -> None:
     """Degree by the arithmetic inclusion-exclusion route."""
     group = group_by_name(group_name)
     value = degree_by_method(group, n, "inclusion-exclusion")
-    _emit(rat_to_str(value) + "\n", output)
+    _emit([rat_to_str(value) + "\n"], output)
 
 
 @main.command("verify")
@@ -271,7 +272,7 @@ def verify_cmd(group_name: str, n: int, methods: tuple[str, ...], fmt: str,
         text = verify_text(result)
     else:
         text = serialize.dumps(verify_doc(result))
-    _emit(text, output)
+    _emit([text], output)
     if not result.consistent:
         _fail(1, "verify", f"methods disagree for group={group.name} n={n}")
 
@@ -305,7 +306,7 @@ def lemma_cmd(lemma_id: str, n: int, group_name: str | None, fmt: str,
             f"{r['lemma']} {json.dumps(r['hypothesis'], sort_keys=True)} "
             f"expected={r['expected']} computed={r['computed']} {r['verdict']}\n"
             for r in records)
-    _emit(text, output)
+    _emit([text], output)
     refuted = sum(1 for r in records if r["verdict"] != "confirmed")
     if refuted:
         _fail(1, "lemma",
@@ -355,7 +356,7 @@ def table_cmd(group_name: str, n_range: str, fmt: str, output: str | None,
     else:
         lines = [f"{group.name} {n} {deg}" for n, deg in rows]
         text = "\n".join(lines) + "\n"
-    _emit(text, output)
+    _emit([text], output)
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ vertex per row as ``1  v_1 ... v_d`` (the leading 1 marks a point).
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
 from .geometry import HPolytope, VPolytope
@@ -28,11 +29,20 @@ def rat_to_str(value: int | Fraction) -> str:
 # JSON documents
 # ---------------------------------------------------------------------------
 
+def _vertex_item(v) -> list[str]:
+    return [rat_to_str(x) for x in v]
+
+
+def _halfspace_item(h) -> dict:
+    return {"normal": [rat_to_str(x) for x in h.normal],
+            "offset": rat_to_str(h.offset)}
+
+
 def vpolytope_to_doc(vp: VPolytope) -> dict:
     return {
         "kind": "vpolytope",
         "dim": vp.dim,
-        "vertices": [[rat_to_str(x) for x in v] for v in vp.vertices],
+        "vertices": [_vertex_item(v) for v in vp.vertices],
     }
 
 
@@ -40,11 +50,7 @@ def hpolytope_to_doc(hp: HPolytope) -> dict:
     return {
         "kind": "hpolytope",
         "dim": hp.dim,
-        "halfspaces": [
-            {"normal": [rat_to_str(x) for x in h.normal],
-             "offset": rat_to_str(h.offset)}
-            for h in hp.halfspaces
-        ],
+        "halfspaces": [_halfspace_item(h) for h in hp.halfspaces],
     }
 
 
@@ -53,23 +59,67 @@ def dumps(doc: dict | list) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _dumps_pieces(doc: dict, key: str, items: Iterable) -> Iterator[str]:
+    """``dumps`` of ``doc`` with ``doc[key]`` the list of ``items``, in pieces.
+
+    Only one item is rendered at a time: each is dumped on its own and
+    indented to its depth in the document, so the pieces join to the same
+    bytes as ``dumps`` of the whole document.
+    """
+    marker = f"{json.dumps(key)}: ["
+    head, tail = dumps({**doc, key: []}).split(marker + "]")
+    encode = json.JSONEncoder(indent=2, sort_keys=True).encode
+    pieces = (encode(item).replace("\n", "\n    ") for item in items)
+    first = next(pieces, None)
+    if first is None:
+        yield head + marker + "]" + tail
+        return
+    yield f"{head}{marker}\n    {first}"
+    for piece in pieces:
+        yield f",\n    {piece}"
+    yield "\n  ]" + tail
+
+
+def vpolytope_json(vp: VPolytope) -> Iterator[str]:
+    """``dumps(vpolytope_to_doc(vp))`` in pieces, one vertex at a time."""
+    return _dumps_pieces({"kind": "vpolytope", "dim": vp.dim}, "vertices",
+                         map(_vertex_item, vp.vertices))
+
+
+def hpolytope_json(hp: HPolytope) -> Iterator[str]:
+    """``dumps(hpolytope_to_doc(hp))`` in pieces, one halfspace at a time."""
+    return _dumps_pieces({"kind": "hpolytope", "dim": hp.dim}, "halfspaces",
+                         map(_halfspace_item, hp.halfspaces))
+
+
 # ---------------------------------------------------------------------------
 # cdd-style text blocks
 # ---------------------------------------------------------------------------
 
-def _format_block(header: str, rows: list[list], width: int) -> str:
-    lines = [header, "begin", f" {len(rows)} {width} rational"]
+def _block_lines(header: str, rows: Iterable[list], count: int,
+                 width: int) -> Iterator[str]:
+    yield f"{header}\nbegin\n {count} {width} rational\n"
     for row in rows:
-        lines.append(" " + " ".join(rat_to_str(x) for x in row))
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+        yield " " + " ".join(rat_to_str(x) for x in row) + "\n"
+    yield "end\n"
+
+
+def ext_lines(vp: VPolytope) -> Iterator[str]:
+    """The ``.ext`` block, one line at a time."""
+    return _block_lines("V-representation", ([1, *v] for v in vp.vertices),
+                        len(vp.rows), vp.dim + 1)
+
+
+def ine_lines(hp: HPolytope) -> Iterator[str]:
+    """The ``.ine`` block, one line at a time."""
+    return _block_lines("H-representation",
+                        ([h.offset, *(-x for x in h.normal)] for h in hp.halfspaces),
+                        len(hp.halfspaces), hp.dim + 1)
 
 
 def write_ext(vp: VPolytope) -> str:
-    rows = [[1, *v] for v in vp.vertices]
-    return _format_block("V-representation", rows, vp.dim + 1)
+    return "".join(ext_lines(vp))
 
 
 def write_ine(hp: HPolytope) -> str:
-    rows = [[h.offset, *(-x for x in h.normal)] for h in hp.halfspaces]
-    return _format_block("H-representation", rows, hp.dim + 1)
+    return "".join(ine_lines(hp))

@@ -12,11 +12,11 @@ The boundary is kept as hull facets, beneath-beyond style (Joswig,
 "Beneath-and-beyond revisited", 2003).  A hull facet is a maximal set of
 coplanar boundary simplices; it holds its primitive inward affine
 functional h, stored as one homogeneous row and evaluated against (p, -1),
-a bit, and its boundary simplices.  A boundary simplex is kept as a record
-(serial, parent, position, base): its creation serial, the simplex it was
-cut from (the coned simplex it is a facet of, or the seed), the position of
-the parent's vertex it omits, and its normalized volume in the lattice of
-the hyperplane.  Its vertex tuple is sliced from the parent only when a
+a bit, its boundary simplices and the heights measured against it.  A
+boundary simplex is kept as a record (serial, parent, position, base): its
+creation serial, the simplex it was cut from (the coned simplex it is a
+facet of, or the seed), the position of the parent's vertex it omits, and
+its normalized volume in the lattice of the hyperplane.  Its vertex tuple is sliced from the parent only when a
 later point cones it, which most boundary simplices never are.  Every placed
 point holds an incidence mask: the bits of the hull facets that contain it.
 A boundary simplex has its hull facet's functional, so each functional,
@@ -30,15 +30,21 @@ a point p:
 * a ridge R of f lies in the hull facets whose bits are set in the masks of
   all of R's vertices.  Apart from F, that is none when R is inside F, and
   exactly one hull facet G when R is on F's boundary.  When G is visible
-  too, or R is inside F, R + p is not on the new boundary;
+  too, or R is inside F, R + p is not on the new boundary.  The ridges of
+  f are tested in one forward pass: the ANDs of the masks of the vertices
+  after each position are built once, back to front, and the AND of
+  those before it is carried along the pass;
 * otherwise R + p is a new boundary simplex, taken in the order of the
   vertex of f that R omits.  When p lies on G's hyperplane (h_G(p) = 0), it
-  joins G.  Else it joins the new hull facet of the pair (F, G), made once
-  per pair, whose functional is the primitive part of
+  joins G; the hidden facets through p are collected once per round, by
+  their bit, so such a ridge costs one lookup.  Else it joins the new hull
+  facet of the pair (F, G), made once per pair and found by the OR of the
+  pair's bits, whose functional is the primitive part of
   h_G(p) * h_F - h_F(p) * h_G: it vanishes on F and G's common face and at
   p.  Distinct pairs give distinct facets (Grünbaum's beneath-beyond
   theorem).  Its base volume is vol(f + p) / h(v), h its hull facet's
-  functional and v the vertex of f off R;
+  functional and v the vertex of f off R.  A hull facet keeps every h(v)
+  it has measured for as long as it lives, so each is computed once;
 * masks gain bits once per round, at its end.  A new facet's bit goes to
   p and to every vertex of its horizon ridges (the OR of the ridges' point
   bitmasks); a facet that p extends gives its bit to p only, since the
@@ -94,7 +100,8 @@ class Triangulation:
 
 
 class _HullFacet:
-    """A facet of the current hull: inward functional, bit, boundary simplices.
+    """A facet of the current hull: inward functional, bit, boundary
+    simplices and heights.
 
     ``h`` is the primitive homogeneous row ``(normal, offset)``: its dot
     product with ``(x, -1)`` is zero on the facet and positive inside.
@@ -104,15 +111,19 @@ class _HullFacet:
     simplices that make up the facet as ``(serial, parent, omit, base)`` in
     serial order: the simplex's sorted vertex indices are ``parent`` with
     position ``omit`` left out, and ``base`` is its normalized volume in the
-    lattice of the hyperplane.
+    lattice of the hyperplane.  ``heights`` maps a point index v to the
+    value of ``h`` at v, for each v that was the vertex off a ridge the
+    facet gained a simplex across; it lives as long as the facet, since
+    ``h`` never changes.
     """
 
-    __slots__ = ("h", "bit", "simplices")
+    __slots__ = ("h", "bit", "simplices", "heights")
 
     def __init__(self, h, bit, simplices):
         self.h = h
         self.bit = bit
         self.simplices = simplices
+        self.heights = {}
 
 
 def triangulate(vp: VPolytope) -> Triangulation:
@@ -169,95 +180,96 @@ def triangulate(vp: VPolytope) -> Triangulation:
             continue
         p = hpts[i]
         value = {k: sum(map(mul, f.h, p)) for k, f in hull.items()}
-        visible = [hull.pop(k) for k, v in value.items() if v < 0]
+        visible = [(hull.pop(k), -v) for k, v in value.items() if v < 0]
         if not visible:
             raise AssertionError("the new point sees no hull facet")
-        gone = sum(1 << f.bit for f in visible)
+        # The hidden facets through p, keyed by 1 << bit as a ridge's
+        # ``other`` below is: p extends them.
+        on = {1 << k: hull[k] for k, v in value.items() if not v}
+        gone = sum(1 << f.bit for f, _ in visible)
         hidden = live ^ gone
         # Every boundary simplex of a visible facet is visible, and they
-        # are coned to p in serial order.
-        todo = [(s, parent, omit, base, f)
-                for f in visible for s, parent, omit, base in f.simplices]
+        # are coned to p in serial order.  ``depth`` is -h_F(p) > 0.
+        todo = [(s, parent, omit, base, f, depth)
+                for f, depth in visible for s, parent, omit, base in f.simplices]
         todo.sort(key=itemgetter(0))
-        # The new hull facets by (visible, hidden) pair, and the heights
-        # of vertices over the facets that gain simplices: most new
-        # simplices share both with an earlier one of the round.  ``spans``
-        # holds the vertices of each new facet's simplices but p, as a
-        # point bitmask; ``reach`` the bits of every facet p joins.
-        made: dict[tuple[int, int], _HullFacet] = {}
+        # The new hull facets by the mask bits of their (visible, hidden)
+        # pair: most new simplices share theirs with an earlier one of the
+        # round.  ``spans`` holds the vertices of each new facet's
+        # simplices but p, as a point bitmask; ``reach`` the bits of the
+        # facets p extends.
+        made: dict[int, _HullFacet] = {}
         spans: dict[int, int] = {}
-        heights: dict[tuple[int, int], int] = {}
         reach = 0
-        for _, parent, omit, base, f in todo:
+        for _, parent, omit, base, f, depth in todo:
             key = parent[:omit] + parent[omit + 1:]
-            hf = value[f.bit]
-            vol = -hf * base
+            vol = depth * base
             total += vol
             q = bisect(key, i)
             full = key[:q] + (i,) + key[q:]
             simplices.append(full)
-            # The hull facets through the ridge that omits key[j]: the masks
-            # of all vertices but key[j], ANDed as a prefix times a suffix.
-            # Starting from the facets hidden before p leaves out the visible
-            # ones and those made in this round.
-            masks = [incidence[v] for v in key]
-            prefix = []
-            acc = hidden
-            for m in masks:
-                prefix.append(acc)
-                acc &= m
-            others = [0] * d
+            # The hull facets through the ridge that omits key[j] have
+            # their bits set in the masks of all vertices but key[j]: the
+            # prefix AND ``acc``, carried from hidden, times the suffix AND
+            # ``suffix[~j]``.  Starting from the facets hidden before p
+            # leaves out the visible ones and those made in this round.
             acc = -1
-            for j in range(d - 1, -1, -1):
-                others[j] = prefix[j] & acc
-                acc &= masks[j]
+            suffix = [acc]
+            for v in key[:0:-1]:
+                acc &= incidence[v]
+                suffix.append(acc)
+            acc = hidden
             points = 0
-            for j, other in enumerate(others):
+            for j, v in enumerate(key):
+                other = acc & suffix[~j]
+                acc &= incidence[v]
                 if not other:
                     continue
                 if other & (other - 1):
                     raise AssertionError("a ridge lies in three hull facets")
-                k = other.bit_length() - 1
-                g = hull[k]
-                hg = value[k]
-                v = key[j]
                 # p on G's hyperplane extends G, whose bit the ridge's
                 # vertices already have; else F's and G's common face and
                 # p span a new facet, one per pair.
-                if hg == 0:
-                    target = g
-                else:
-                    target = made.get((f.bit, k))
+                target = on.get(other)
+                if target is None:
+                    pair = other | 1 << f.bit
+                    target = made.get(pair)
                     if target is None:
-                        h = _primitive([hg * a - hf * b for a, b in zip(f.h, g.h)])
+                        k = other.bit_length() - 1
+                        h = _primitive([value[k] * a + depth * b
+                                        for a, b in zip(f.h, hull[k].h)])
                         bit = (~live & (live + 1)).bit_length() - 1
                         live |= 1 << bit
-                        target = made[f.bit, k] = _HullFacet(h, bit, [])
-                        spans[bit] = 0
+                        target = made[pair] = _HullFacet(h, bit, [])
+                        spans[pair] = 0
                     if not points:  # key's point bitmask, on first use
                         for u in key:
                             points |= 1 << u
-                    spans[target.bit] |= points ^ (1 << v)
-                reach |= 1 << target.bit
-                height = heights.get((target.bit, v))
+                    spans[pair] |= points ^ (1 << v)
+                else:
+                    reach |= other
+                heights = target.heights
+                height = heights.get(v)
                 if height is None:
-                    height = heights[target.bit, v] = sum(map(mul, target.h, hpts[v]))
+                    height = heights[v] = sum(map(mul, target.h, hpts[v]))
                 if height <= 0 or vol % height:
                     raise AssertionError("degenerate simplex in triangulation")
                 target.simplices.append((serial, full, j if j < q else j + 1, vol // height))
                 serial += 1
         live ^= gone
         incidence = [m & live for m in incidence]
-        incidence[i] = reach
-        # Each new facet's bit goes to the vertices of its simplices once.
-        for f in made.values():
+        # Each new facet's bit goes to p and to the vertices of its
+        # simplices once.
+        for pair, f in made.items():
             mark = 1 << f.bit
-            span = spans[f.bit]
+            reach |= mark
+            span = spans[pair]
             while span:
                 low = span & -span
                 incidence[low.bit_length() - 1] |= mark
                 span ^= low
             hull[f.bit] = f
+        incidence[i] = reach
 
     return Triangulation(vp, tuple(simplices), Fraction(total, vp.scale ** d))
 

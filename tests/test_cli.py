@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import clawvol
-from clawvol import cli, cuts, geometry, verify
+from clawvol import cli, cuts, geometry, serialize, verify
 from clawvol.cli import main
 
 
@@ -377,6 +377,22 @@ def test_repeated_runs_are_byte_identical(runner):
     second = invoke(runner, "verify", "--group", "z2", "--n", "3",
                     "--format", "json")
     assert first.stdout == second.stdout
+
+
+@pytest.mark.parametrize("group,n", [("z2", 6), ("z2xz2", 3), ("z3", 4)])
+def test_streamed_json_matches_whole_document(runner, group, n):
+    # The listings are written one row at a time; the bytes must be those
+    # of the whole document.
+    g = clawvol.GROUPS[group]
+    expected = {
+        "vertices": serialize.vpolytope_to_doc(clawvol.vertices(g, n)),
+        "facets": serialize.hpolytope_to_doc(clawvol.facets(g, n)),
+    }
+    for verb, doc in expected.items():
+        result = invoke(runner, verb, "--group", group, "--n", str(n),
+                        "--format", "json")
+        assert result.exit_code == 0
+        assert result.stdout == serialize.dumps(doc)
 
 
 # sha256 of the stdout of each command, which must exit 0.  Output is

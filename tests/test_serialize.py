@@ -10,8 +10,10 @@ from clawvol.geometry import HPolytope, HalfSpace, VPolytope
 from clawvol.groups import GROUPS
 from clawvol.serialize import (
     dumps,
+    hpolytope_json,
     hpolytope_to_doc,
     rat_to_str,
+    vpolytope_json,
     vpolytope_to_doc,
     write_ext,
     write_ine,
@@ -66,6 +68,15 @@ def test_json_text_is_canonical():
     assert text == dumps(json.loads(text))
     # keys come out sorted regardless of construction order
     assert text.index('"dim"') < text.index('"kind"') < text.index('"vertices"')
+
+
+def test_json_pieces_of_empty_lists():
+    # json.dumps writes an empty list inline, as [].
+    vp = VPolytope(2, ())
+    hp = HPolytope(2, ())
+    assert "".join(vpolytope_json(vp)) == dumps(vpolytope_to_doc(vp))
+    assert "".join(hpolytope_json(hp)) == dumps(hpolytope_to_doc(hp))
+    assert '"vertices": []' in "".join(vpolytope_json(vp))
 
 
 @pytest.mark.parametrize("group,n", CASES, ids=CASE_IDS)

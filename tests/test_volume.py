@@ -313,3 +313,43 @@ def test_every_hull_facet_has_its_own_hyperplane(monkeypatch):
         rows.clear()
         triangulate(vp)
         assert len(set(rows)) == len(rows)
+
+
+# Each of triangulate's three checks, reached on its own.  Exact arithmetic
+# on distinct points never fails them, so each test breaks one input or one
+# step from outside the loop.
+
+def test_a_point_that_sees_no_hull_facet_is_refused():
+    # _from_rows stores rows as given: the second (1, 0) is already a
+    # vertex of the seed simplex, so it sees no hull facet strictly.
+    vp = VPolytope._from_rows(2, 1, ((0, 0), (0, 1), (1, 0), (1, 0), (1, 1)))
+    with pytest.raises(AssertionError, match="sees no hull facet"):
+        triangulate(vp)
+
+
+def test_a_degenerate_simplex_is_refused(monkeypatch):
+    # A new hull facet's functional turned outward puts the vertex off
+    # each of its ridges at a negative height.
+    primitive = volume._primitive
+    monkeypatch.setattr(volume, "_primitive",
+                        lambda row: tuple(-x for x in primitive(row)))
+    with pytest.raises(AssertionError, match="degenerate simplex"):
+        triangulate(vertices(GROUPS["z2"], 4))
+
+
+def test_a_ridge_in_two_hidden_hull_facets_is_refused(monkeypatch):
+    # On a consistent hull a ridge lies in exactly two hull facets, so the
+    # check guards the incidence masks.  A new facet that takes the bit
+    # below its own shares it with a live facet (bits are handed out lowest
+    # first), and that bit then marks the vertices of two facets.
+    class Shifted(volume._HullFacet):
+        __slots__ = ()
+
+        def __init__(self, h, bit, simplices):
+            super().__init__(h, bit, simplices)
+            if not simplices:
+                self.bit = bit - 1
+
+    monkeypatch.setattr(volume, "_HullFacet", Shifted)
+    with pytest.raises(AssertionError, match="a ridge lies in three hull facets"):
+        triangulate(cube(3))
