@@ -54,9 +54,9 @@ class OddSubsetCut:
     forming A; the channel is a nonzero group element (Z2 has only channel
     1; Z2xZ2 channels 1, 2, 3 stand for a, b, c).  For Z3, ``subset`` is the
     digit tuple A in {0,1,2}^n and the channel is 1 or 2 selecting the U or
-    W normals.  ``is_facet`` tells whether the cut's plus-side inequality is
-    one of the polytope's facets (odd |A|, or digit sum 2 mod 3); general
-    cuts are still meaningful and are used by the cut-piece lemmas.
+    W normals.  The cut's plus-side inequality is one of the polytope's
+    facets for odd |A|, or digit sum 2 mod 3; general cuts are still
+    meaningful and are used by the cut-piece lemmas.
     """
 
     group: Group
@@ -81,12 +81,6 @@ class OddSubsetCut:
                 raise ValueError("subset positions must be sorted and distinct")
             if any(j < 1 or j > self.n for j in subset):
                 raise ValueError("subset positions must lie in 1..n")
-
-    @property
-    def is_facet(self) -> bool:
-        if self.group is Z3:
-            return sum(self.subset) % 3 == 2
-        return len(self.subset) % 2 == 1
 
     @property
     def rhs(self) -> int:
@@ -223,10 +217,14 @@ def _encode_tuple(group: Group, entries: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def vertices(group: Group, n: int) -> VPolytope:
-    """One 0/1 point per zero-sum n-tuple; |G|^(n-1) vertices in R^((|G|-1)n)."""
+    """One 0/1 point per zero-sum n-tuple; |G|^(n-1) vertices in R^((|G|-1)n).
+
+    A 0/1 point is its own integer row at scale 1, and distinct tuples
+    encode to distinct points, so the sorted encodings are the rows.
+    """
     _check_n(n)
-    pts = [_encode_tuple(group, t) for t in zero_sum_tuples(group, n)]
-    return VPolytope(ambient_dim(group, n), tuple(pts))
+    rows = sorted(_encode_tuple(group, t) for t in zero_sum_tuples(group, n))
+    return VPolytope._from_rows(ambient_dim(group, n), 1, tuple(rows))
 
 
 def facet_cuts(group: Group, n: int) -> tuple[OddSubsetCut, ...]:

@@ -8,22 +8,21 @@ the exact vertex set of a bounded polyhedron and reliably distinguishes
 empty from unbounded inputs.  ``vertex_rays`` returns that vertex set as
 the cone's primitive integer rays (y_0, y), one per vertex y / y_0, and
 ``vertex_enumeration`` keeps them as a ``VPolytope``'s integer rows
-y * (L / y_0), L the lcm of the y_0, sorted as ints; the vertices' points,
-with their ``Fraction``s, are built only if something reads them.
+y * (L / y_0), L the lcm of the y_0, sorted as ints.
 A polytope built by ``with_halfspaces`` remembers the polytope it came
 from; the enumerator resumes from that base polytope's cone, computed once
 and kept on the base, and processes only the added rows.
 
 Conventions:
 
-* a point is a tuple of exact rationals as computed: each coordinate is an
-  ``int`` or a ``Fraction``, and nothing converts between them (Python
-  compares, hashes and sorts ``1`` and ``Fraction(1)`` as the same value);
+* a point is given as a tuple of exact rationals, each coordinate an
+  ``int`` or a ``Fraction`` (Python compares, hashes and sorts ``1`` and
+  ``Fraction(1)`` as the same value);
 * a halfspace is ``{x : <normal, x> <= offset}``, stored as the primitive
   integer row ``(normal, offset)``;
-* vertex sets are kept deduplicated and lexicographically sorted, and a
-  ``VPolytope`` also as integer rows: its points times ``scale``, the lcm
-  of their denominators.  Consumers read the rows.
+* a ``VPolytope`` is stored only as integer rows: its distinct points
+  times ``scale``, the lcm of their denominators, lexicographically sorted.
+  Consumers read the rows.
 """
 
 from __future__ import annotations
@@ -102,15 +101,6 @@ class HalfSpace:
     def dim(self) -> int:
         return len(self.normal)
 
-    def value(self, point: Sequence):
-        """Evaluate ``<normal, point>``."""
-        _check_length(point, self.dim)
-        return sum(map(mul, self.normal, point))
-
-    def flipped(self) -> "HalfSpace":
-        """The opposite halfspace ``{x : <normal, x> >= offset}`` in <= form."""
-        return HalfSpace(tuple(-a for a in self.normal), -self.offset)
-
 
 @dataclass(frozen=True)
 class HPolytope:
@@ -146,18 +136,17 @@ class HPolytope:
 
 @dataclass(frozen=True, init=False)
 class VPolytope:
-    """A polytope given by points; stored deduplicated and lex-sorted.
+    """A polytope given by points, stored as integer rows.
 
-    The stored points are not forced to be extreme.  Every consumer reads
-    one integer form of them: ``scale`` is the lcm of the coordinates'
-    denominators, and ``rows`` are the integer rows ``scale * point``, in
-    the points' lexicographic order.  Equality and hashing use only
-    ``dim``, ``scale`` and ``rows``.
+    ``scale`` is the lcm of the points' denominators and ``rows`` are the
+    distinct integer rows ``scale * point``, lex-sorted; nothing else is
+    stored, and equality and hashing use only ``dim``, ``scale`` and
+    ``rows``.  The points are not forced to be extreme.
 
-    ``vertices`` is the points themselves.  ``VPolytope(dim, points)``
-    keeps the given coordinates; a polytope from ``vertex_enumeration``
-    holds only the rows and builds its points on first read, an int tuple
-    for each integral point and ``Fraction``s for the others.
+    ``VPolytope(dim, points)`` parses rational points into that form;
+    ``vertices`` reads the points back from the rows, built on first read:
+    the rows themselves at scale 1, otherwise an int tuple for each
+    integral point and ``Fraction``s for the others.
     """
 
     dim: int
@@ -167,16 +156,13 @@ class VPolytope:
                                               repr=False)
 
     def __init__(self, dim: int, vertices: Iterable[Sequence]):
-        points = tuple(sorted({tuple(map(_exact, p)) for p in vertices}))
+        points = [tuple(map(_exact, p)) for p in vertices]
         for p in points:
             _check_length(p, dim)
         scale = math.lcm(*(v.denominator for p in points for v in p))
-        rows = tuple(tuple(v.numerator * (scale // v.denominator) for v in p)
-                     for p in points)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_points", points)
+        rows = {tuple(v.numerator * (scale // v.denominator) for v in p)
+                for p in points}
+        self._store(dim, scale, tuple(sorted(rows)))
 
     @classmethod
     def _from_rows(cls, dim: int, scale: int,
@@ -185,18 +171,22 @@ class VPolytope:
         lex-sorted, with ``scale`` the lcm of the denominators of the
         points row / scale, as ``vertex_enumeration`` makes them."""
         vp = object.__new__(cls)
-        object.__setattr__(vp, "dim", dim)
-        object.__setattr__(vp, "scale", scale)
-        object.__setattr__(vp, "rows", rows)
+        vp._store(dim, scale, rows)
         return vp
+
+    def _store(self, dim: int, scale: int,
+               rows: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def vertices(self) -> tuple[Point, ...]:
-        """The points: as given, or built from the rows on first read."""
+        """The points ``row / scale``, built from the rows on first read."""
         points = self._points
         if points is None:
             s = self.scale
-            points = tuple(
+            points = self.rows if s == 1 else tuple(
                 tuple(v // s for v in r) if all(v % s == 0 for v in r)
                 else tuple(Fraction(v, s) for v in r)
                 for r in self.rows)

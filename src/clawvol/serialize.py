@@ -19,6 +19,8 @@ from .geometry import HPolytope, VPolytope
 
 
 def rat_to_str(value: int | Fraction) -> str:
+    if type(value) is int:
+        return str(value)
     value = Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
@@ -115,11 +117,3 @@ def ine_lines(hp: HPolytope) -> Iterator[str]:
     return _block_lines("H-representation",
                         ([h.offset, *(-x for x in h.normal)] for h in hp.halfspaces),
                         len(hp.halfspaces), hp.dim + 1)
-
-
-def write_ext(vp: VPolytope) -> str:
-    return "".join(ext_lines(vp))
-
-
-def write_ine(hp: HPolytope) -> str:
-    return "".join(ine_lines(hp))

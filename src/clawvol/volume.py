@@ -94,10 +94,6 @@ class Triangulation:
     simplices: tuple[tuple[int, ...], ...]
     volume: Fraction
 
-    @property
-    def dim(self) -> int:
-        return self.polytope.dim
-
 
 class _HullFacet:
     """A facet of the current hull: inward functional, bit, boundary

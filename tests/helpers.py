@@ -1,13 +1,15 @@
-"""Checks that only the tests use: exact point-in-halfspace tests, V/H
-agreement, vertex enumeration through ``VPolytope``'s own normalization, the
-two ways of building a polytope triangulated side by side, and the
-triple-lemma count."""
+"""Checks that only the tests use: halfspace evaluation and exact
+point-in-halfspace tests, V/H agreement, vertex enumeration through
+``VPolytope``'s own normalization, the two ways of building a polytope
+triangulated side by side, which cuts are facets, whole cdd-style blocks,
+and the triple-lemma count."""
 
 import math
 from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
+from clawvol.clawpoly import OddSubsetCut
 from clawvol.geometry import (
     HalfSpace,
     HPolytope,
@@ -17,6 +19,8 @@ from clawvol.geometry import (
     vertex_enumeration,
     vertex_rays,
 )
+from clawvol.groups import Z3
+from clawvol.serialize import ext_lines, ine_lines
 from clawvol.volume import triangulate
 
 
@@ -29,6 +33,17 @@ def integer_point(point: Sequence) -> tuple[Sequence[int], int]:
         return point, 1
     d = math.lcm(*(_exact(v).denominator for v in point))
     return [v.numerator * d // v.denominator for v in point], d
+
+
+def value(hs: HalfSpace, point: Sequence):
+    """Evaluate ``<normal, point>``."""
+    _check_length(point, hs.dim)
+    return sum(map(mul, hs.normal, point))
+
+
+def flipped(hs: HalfSpace) -> HalfSpace:
+    """The opposite halfspace ``{x : <normal, x> >= offset}`` in <= form."""
+    return HalfSpace(tuple(-a for a in hs.normal), -hs.offset)
 
 
 def holds(hs: HalfSpace, point: Sequence) -> bool:
@@ -88,6 +103,21 @@ def same_points(a: VPolytope, b: VPolytope) -> bool:
     """Equal points in the same order, each coordinate of the same type."""
     return a == b and ([tuple(map(type, p)) for p in a.vertices]
                        == [tuple(map(type, p)) for p in b.vertices])
+
+
+def is_facet(cut: OddSubsetCut) -> bool:
+    """Is the cut's plus side a facet: odd |A|, or digit sum 2 mod 3?"""
+    if cut.group is Z3:
+        return sum(cut.subset) % 3 == 2
+    return len(cut.subset) % 2 == 1
+
+
+def write_ext(vp: VPolytope) -> str:
+    return "".join(ext_lines(vp))
+
+
+def write_ine(hp: HPolytope) -> str:
+    return "".join(ine_lines(hp))
 
 
 def delta_mask(a: int, b: int, c: int) -> int:

@@ -24,10 +24,10 @@ from clawvol.clawpoly import (
     tuple_cut,
     vertices,
 )
-from clawvol.geometry import lattice_index, vertex_enumeration
-from clawvol.groups import GROUPS, Z2, Z2xZ2, Z3
+from clawvol.geometry import VPolytope, lattice_index, vertex_enumeration
+from clawvol.groups import GROUPS, Z2, Z2xZ2, Z3, zero_sum_tuples
 from clawvol.volume import lattice_volume
-from helpers import contains, holds, vh_consistent
+from helpers import contains, holds, is_facet, value, vh_consistent
 
 ALL_GROUPS = list(GROUPS.values())
 
@@ -51,14 +51,29 @@ def test_vertices_are_01_with_unit_block_sums(group):
                 assert sum(v[j * w:(j + 1) * w]) in (0, 1)
 
 
+@pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.name)
+def test_vertices_are_the_parsed_zero_sum_points(group):
+    """The rows built directly at scale 1 are what the rational parser
+    makes of the encoded zero-sum tuples: distinct, lex-sorted rows of
+    length d, so the polytopes and their hashes are equal."""
+    w = block_width(group)
+    for n in (2, 3, 4, 5):
+        points = [tuple(int(g == e) for g in t for e in range(1, w + 1))
+                  for t in zero_sum_tuples(group, n)]
+        parsed = VPolytope(ambient_dim(group, n), points)
+        vp = vertices(group, n)
+        assert vp == parsed and hash(vp) == hash(parsed)
+        assert vp.scale == 1 and vp.vertices is vp.rows
+
+
 def test_vertices_requires_n_at_least_2():
     with pytest.raises(ValueError):
         vertices(Z2, 1)
 
 
 def test_subset_cut_validation():
-    assert subset_cut(Z2, 3, (1,)).is_facet
-    assert not subset_cut(Z2, 3, (1, 2)).is_facet
+    assert is_facet(subset_cut(Z2, 3, (1,)))
+    assert not is_facet(subset_cut(Z2, 3, (1, 2)))
     assert subset_cut(Z2, 3, (1,)).rhs == 0
     assert subset_cut(Z2, 3, (1, 2, 3)).rhs == -2
     with pytest.raises(ValueError):
@@ -73,9 +88,9 @@ def test_subset_cut_validation():
 
 def test_tuple_cut_validation():
     cut = tuple_cut(2, (2, 0), 1)
-    assert cut.is_facet and cut.rhs == 0
-    assert tuple_cut(2, (1, 1), 2).is_facet
-    assert not tuple_cut(2, (1, 0), 1).is_facet
+    assert is_facet(cut) and cut.rhs == 0
+    assert is_facet(tuple_cut(2, (1, 1), 2))
+    assert not is_facet(tuple_cut(2, (1, 0), 1))
     assert tuple_cut(3, (1, 1, 1), 1).rhs == -1
     with pytest.raises(ValueError):
         tuple_cut(2, (3, 0), 1)
@@ -103,7 +118,7 @@ def test_s_value_and_halfspace_sides():
     cut = subset_cut(Z2, 2, (1,))
     p_in = (Fraction(1), Fraction(0))   # S = -1 <= rhs 0
     p_out = (Fraction(0), Fraction(1))  # S = 1 >= 0
-    assert cut_halfspace(cut, MINUS).value(p_in) == -1
+    assert value(cut_halfspace(cut, MINUS), p_in) == -1
     assert holds(cut_halfspace(cut, MINUS), p_in)
     assert not holds(cut_halfspace(cut, MINUS), p_out)
     assert holds(cut_halfspace(cut, PLUS), p_out)
@@ -121,7 +136,7 @@ def test_facet_cut_counts(group):
             assert len(cuts) == 3 * 2 ** (n - 1)
         else:
             assert len(cuts) == 2 * 3 ** (n - 1)
-        assert all(c.is_facet for c in cuts)
+        assert all(is_facet(c) for c in cuts)
         assert len(set(cuts)) == len(cuts)
 
 
@@ -135,7 +150,7 @@ def test_facet_system_supports_vertices(group):
         assert contains(hp, v)
     for cut in facet_cuts(group, n):
         minus = cut_halfspace(cut, MINUS)
-        assert min(minus.value(v) for v in vp.vertices) == cut.rhs
+        assert min(value(minus, v) for v in vp.vertices) == cut.rhs
 
 
 @pytest.mark.parametrize("group,n", [(Z2, 6), (Z2, 7), (Z2, 8), (Z3, 4), (Z2xZ2, 4)],

@@ -32,14 +32,17 @@ from clawvol.geometry import (
     _primitive,
     _scaled_integers,
 )
-from clawvol.serialize import dumps, vpolytope_to_doc, write_ext
+from clawvol.serialize import dumps, vpolytope_to_doc
 from helpers import (
     contains,
+    flipped,
     holds,
     normalized_vertices,
     paths_agree,
     same_points,
+    value,
     vh_consistent,
+    write_ext,
 )
 
 F = Fraction
@@ -63,14 +66,14 @@ def box(*bounds) -> HPolytope:
 
 def test_halfspace_basics():
     h = HalfSpace((1, -2), 3)
-    assert h.value(pt(1, 0)) == 1
-    assert holds(h, pt(3, 0)) and h.value(pt(3, 0)) == h.offset
+    assert value(h, pt(1, 0)) == 1
+    assert holds(h, pt(3, 0)) and value(h, pt(3, 0)) == h.offset
     assert not holds(h, pt(4, 0))
-    assert holds(h.flipped(), pt(4, 0))
-    assert h.flipped() == HalfSpace((-1, 2), -3)
+    assert holds(flipped(h), pt(4, 0))
+    assert flipped(h) == HalfSpace((-1, 2), -3)
     # stored as the primitive integer row, orientation kept
     assert HalfSpace((2, -4), 6) == h
-    assert HalfSpace((-2, 4), -6) == h.flipped()
+    assert HalfSpace((-2, 4), -6) == flipped(h)
     scaled = HalfSpace((F(2, 3), 0), F(1, 3))
     assert scaled == HalfSpace((2, 0), 1)
     assert type(scaled.offset) is int and all(type(a) is int for a in scaled.normal)
@@ -94,7 +97,7 @@ def test_floats_are_refused(build):
 
 
 @pytest.mark.parametrize("call", [
-    lambda: HalfSpace((1, 1), 1).value((0, 0, 7)),
+    lambda: value(HalfSpace((1, 1), 1), (0, 0, 7)),
     lambda: holds(HalfSpace((1, 1), 1), (0,)),
     lambda: contains(HPolytope(2, (HalfSpace((1, 1), 1),)), (0, 0, 7, 7)),
     lambda: affine_dim([(0,), (1, 5, 7)]),
@@ -157,8 +160,12 @@ def test_points_keep_int_and_fraction_coordinates(monkeypatch):
     polys = [VPolytope(2, points) for points in (ints, fractions, mixed)]
     assert polys[0] == polys[1] == polys[2]
     assert len({hash(vp) for vp in polys}) == 1
+    # Only the rows are kept; the points are built from them on first read.
+    assert all(vp._points is None for vp in polys)
     assert all(vp.vertices == ((0, 0), (0, 1), (F(1, 2), 2), (1, 0))
                for vp in polys)
+    assert all(kinds == [{int}, {int}, {Fraction}, {int}] for kinds in (
+        [set(map(type, p)) for p in vp.vertices] for vp in polys))
 
     def render(vp):
         monkeypatch.setattr(cli, "claw_vertices", lambda group, n: vp)
@@ -366,10 +373,10 @@ def boxed_polytopes(draw):
             rows.append(HalfSpace((0,) * d, draw(halves)))
         elif kind == "equality":
             h = near_center()
-            rows += [h, h.flipped()]
+            rows += [h, flipped(h)]
         else:
             h = near_center()
-            rows += [h, HalfSpace(h.flipped().normal, h.flipped().offset - 1)]
+            rows += [h, HalfSpace(flipped(h).normal, flipped(h).offset - 1)]
     return HPolytope(d, tuple(draw(st.permutations(rows))))
 
 
@@ -499,7 +506,7 @@ def test_halfspace_rescaling_and_holds(case):
         # move the point onto the boundary along coordinate i
         tight = list(point)
         tight[i] += (offset - sum(a * v for a, v in zip(normal, point))) / normal[i]
-        assert holds(h, tight) and holds(h.flipped(), tight) and exact(tight)
+        assert holds(h, tight) and holds(flipped(h), tight) and exact(tight)
 
 
 @pytest.mark.parametrize("hp", [

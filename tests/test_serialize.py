@@ -15,9 +15,8 @@ from clawvol.serialize import (
     rat_to_str,
     vpolytope_json,
     vpolytope_to_doc,
-    write_ext,
-    write_ine,
 )
+from helpers import write_ext, write_ine
 
 F = Fraction
 
@@ -51,6 +50,8 @@ def test_rational_strings():
     assert rat_to_str(F(3)) == "3"
     assert rat_to_str(F(-7, 2)) == "-7/2"
     assert rat_to_str(F(0)) == "0"
+    assert rat_to_str(3) == "3"
+    assert rat_to_str(True) == "1"
 
 
 @pytest.mark.parametrize("group,n", CASES, ids=CASE_IDS)

@@ -128,7 +128,7 @@ def test_join_product_random_instances():
 
 def test_triangulation_accessors():
     t = triangulate(cube(2))
-    assert t.dim == 2
+    assert t.polytope.dim == 2
     assert {j for s in t.simplices for j in s} == set(range(4))
     assert t.volume == 2
     assert Triangulation(cube(2), t.simplices, t.volume).polytope == cube(2)
@@ -225,9 +225,9 @@ def determinant_sum(t):
         rows = [[int((a - b) * scale) for a, b in zip(pts[j], base)]
                 for j in simplex[1:]]
         pivots, last = bareiss(rows)
-        assert len(pivots) == t.dim
+        assert len(pivots) == t.polytope.dim
         total += abs(last)
-    return F(total, scale ** t.dim)
+    return F(total, scale ** t.polytope.dim)
 
 
 @settings(max_examples=150, deadline=None)
