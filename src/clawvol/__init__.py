@@ -49,11 +49,9 @@ from .geometry import (
 from .groups import (
     GROUPS,
     Group,
-    SymmetryAction,
     Z2,
     Z2xZ2,
     Z3,
-    apply_action,
     group_by_name,
     zero_sum_tuples,
 )
@@ -76,8 +74,8 @@ __all__ = [
     "GeometryError", "HPolytope", "HalfSpace",
     "LatticeBasis", "RankDeficientError", "UnboundedError", "VPolytope",
     "affine_dim", "lattice_index", "vertex_enumeration",
-    "GROUPS", "Group", "SymmetryAction", "Z2", "Z2xZ2", "Z3",
-    "apply_action", "group_by_name", "zero_sum_tuples",
+    "GROUPS", "Group", "Z2", "Z2xZ2", "Z3", "group_by_name",
+    "zero_sum_tuples",
     "METHODS", "degree_by_method", "verify_degree",
     "Triangulation", "lattice_volume", "triangulate",
     "__version__",

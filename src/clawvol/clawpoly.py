@@ -9,6 +9,8 @@ Each polytope has one 0/1 vertex per zero-sum tuple over the group, and a
 facet system made of nonnegativity, per-block upper bounds, and a family of
 cut inequalities indexed by subsets of [n] (Z2, Z2xZ2) or by digit tuples in
 {0,1,2}^n (Z3) in two dual channels.
+``facet_halfspaces`` walks the facet system one halfspace at a time, so a
+listing never holds it whole; ``facets`` collects the same walk.
 
 A cut builds each side's halfspace once, on first use, and keeps it on the
 cut object.  ``cuts.lemma_claims`` shares one cut object among all the
@@ -227,81 +229,76 @@ def vertices(group: Group, n: int) -> VPolytope:
     return VPolytope._from_rows(ambient_dim(group, n), 1, tuple(rows))
 
 
-def facet_cuts(group: Group, n: int) -> tuple[OddSubsetCut, ...]:
-    """All cuts whose plus side is a facet, in (channel, index) order.
+def _facet_cut_walk(group: Group, n: int) -> Iterator[OddSubsetCut]:
+    """Each cut whose plus side is a facet, built one at a time, in
+    (channel, index) order.
 
     Z2: odd subsets of [n] by ascending bitmask.  Z2xZ2: the same per
     channel a, b, c.  Z3: digit tuples with sum 2 mod 3 in lexicographic
     order, channels 1 then 2.
     """
-    _check_n(n, 1)
-    cuts = []
     if group is Z3:
         for channel in (1, 2):
             for digits in z3_facet_tuples(n):
-                cuts.append(tuple_cut(n, digits, channel))
-        return tuple(cuts)
-    channels = (1,) if group is Z2 else (1, 2, 3)
-    for channel in channels:
+                yield tuple_cut(n, digits, channel)
+        return
+    for channel in (1,) if group is Z2 else (1, 2, 3):
         for mask in range(1, 1 << n):
             if bin(mask).count("1") % 2 == 1:
-                cuts.append(subset_cut(group, n, _mask_positions(mask), channel))
-    return tuple(cuts)
+                yield subset_cut(group, n, _mask_positions(mask), channel)
+
+
+def facet_cuts(group: Group, n: int) -> tuple[OddSubsetCut, ...]:
+    """All cuts whose plus side is a facet, in ``_facet_cut_walk`` order."""
+    _check_n(n, 1)
+    return tuple(_facet_cut_walk(group, n))
+
+
+def facet_halfspaces(group: Group, n: int) -> Iterator[HalfSpace]:
+    """The facet system one halfspace at a time: the ambient bounds, then
+    each facet cut's plus side, built as it is reached.
+
+    ``n`` is checked on the call, before the first halfspace is asked for.
+    """
+    _check_n(n)
+    return itertools.chain(
+        ambient(group, n).halfspaces,
+        (cut_halfspace(c, PLUS) for c in _facet_cut_walk(group, n)))
 
 
 def facets(group: Group, n: int) -> HPolytope:
-    """The verbatim facet system: ambient bounds plus all plus-side cuts."""
-    _check_n(n)
-    base = ambient(group, n)
-    cut_rows = tuple(cut_halfspace(c, PLUS) for c in facet_cuts(group, n))
-    return base.with_halfspaces(cut_rows)
+    """The verbatim facet system, ``facet_halfspaces`` collected, on the
+    ambient polytope as its base."""
+    return HPolytope(ambient_dim(group, n), tuple(facet_halfspaces(group, n)),
+                     ambient(group, n))
+
+
+# Rows generating the model lattice inside block 0: the kernel of the
+# block's map onto the group, which sends the unit vector of g to g.
+BLOCK0_KERNEL = {
+    Z2: ((2,),),
+    Z3: ((3, 0), (1, 1)),
+    Z2xZ2: ((2, 0, 0), (0, 2, 0), (-1, -1, 1)),
+}
 
 
 def lattice(group: Group, n: int) -> LatticeBasis:
-    """The lattice generated by the vertex set, as an explicit basis.
+    """The model lattice, as an explicit square basis.
 
-    The vertex differences satisfy one parity constraint per independent
-    character of the group, which pins the lattice down exactly: Z2 has even
-    coordinate sum (index 2), Z2xZ2 has two even block-character sums
-    (index 4), Z3 has digit-weighted sum divisible by 3 (index 3).  The
-    explicit bases below generate precisely these lattices for every
-    n >= 2, including n = 2 where too few vertices exist to span the space
-    on their own.
+    The model lattice is the kernel of the map from Z^dim onto the group
+    sending the unit vector of block j and element g to g; it has index
+    |G|.  Block 0 contributes its ``BLOCK0_KERNEL`` rows, and every later
+    block j adds e_{j,g} - e_{0,g} for each nonzero g.  The basis holds for
+    every n >= 2, including n = 2 where the vertices do not span the space.
     """
     _check_n(n)
     d = ambient_dim(group, n)
     width = block_width(group)
-
-    def unit(block: int, g: int) -> list[int]:
+    gens = [row + (0,) * (d - width) for row in BLOCK0_KERNEL[group]]
+    for i in range(width, d):
         row = [0] * d
-        row[block * width + (g - 1)] = 1
-        return row
-
-    def combine(*terms) -> tuple[int, ...]:
-        row = [0] * d
-        for coeff, vec in terms:
-            for i, v in enumerate(vec):
-                row[i] += coeff * v
-        return tuple(row)
-
-    gens: list[tuple[int, ...]] = []
-    if group is Z2:
-        gens.append(combine((2, unit(0, 1))))
-        for j in range(1, n):
-            gens.append(combine((1, unit(0, 1)), (1, unit(j, 1))))
-    elif group is Z3:
-        gens.append(combine((3, unit(0, 1))))
-        gens.append(combine((1, unit(0, 1)), (1, unit(0, 2))))
-        for j in range(1, n):
-            gens.append(combine((1, unit(j, 1)), (-1, unit(0, 1))))
-            gens.append(combine((1, unit(j, 2)), (-1, unit(0, 2))))
-    else:
-        gens.append(combine((2, unit(0, 1))))
-        gens.append(combine((2, unit(0, 2))))
-        gens.append(combine((1, unit(0, 3)), (-1, unit(0, 1)), (-1, unit(0, 2))))
-        for j in range(1, n):
-            for g in (1, 2, 3):
-                gens.append(combine((1, unit(j, g)), (-1, unit(0, g))))
+        row[i], row[i % width] = 1, -1
+        gens.append(tuple(row))
     return LatticeBasis(d, tuple(gens))
 
 

@@ -20,8 +20,7 @@ from collections.abc import Iterable
 import click
 
 from . import __version__, serialize
-from .clawpoly import ambient_dim, model_lattice_index
-from .clawpoly import facets as claw_facets
+from .clawpoly import ambient_dim, facet_halfspaces, model_lattice_index
 from .clawpoly import vertices as claw_vertices
 from .cuts import LEMMA_FAMILIES, LEMMA_GROUPS, LEMMA_IDS, VOLUME, run_lemma
 from .formulas import degree_table
@@ -187,17 +186,18 @@ def facets_cmd(group_name: str, n: int, fmt: str, output: str | None,
     """List the facet inequalities <a, x> <= b."""
     group = group_by_name(group_name)
     _guard(override_guard, "facets", group, n)
-    hp = claw_facets(group, n)
+    rows = facet_halfspaces(group, n)
+    dim = ambient_dim(group, n)
     if fmt == "text":
         lines = (
             " ".join(rat_to_str(x) for x in h.normal) + " <= "
             + rat_to_str(h.offset) + "\n"
-            for h in hp.halfspaces
+            for h in rows
         )
     elif fmt == "json":
-        lines = serialize.hpolytope_json(hp)
+        lines = serialize.hpolytope_json(dim, rows)
     else:
-        lines = serialize.ine_lines(hp)
+        lines = serialize.ine_lines(dim, rows, _listed_rows("facets", group, n))
     _emit(lines, output)
 
 

@@ -9,9 +9,8 @@ elements can be hashed, sorted, and stored compactly:
 * Z2xZ2: 0, 1, 2, 3 where the group law is bitwise XOR.  The three
   involutions 1, 2, 3 are printed as ``a``, ``b``, ``c``.
 
-Every iteration order in this module is deterministic: elements ascend,
-tuples are generated in lexicographic order, and automorphisms are sorted
-by their mapping table.
+Every iteration order in this module is deterministic: elements ascend
+and tuples are generated in lexicographic order.
 """
 
 from __future__ import annotations
@@ -44,9 +43,6 @@ class Group:
     @property
     def nonzero(self) -> tuple[int, ...]:
         return tuple(range(1, self.order))
-
-    def add(self, x: int, y: int) -> int:
-        return self.add_table[x][y]
 
     def neg(self, x: int) -> int:
         for y in self.elements:
@@ -103,113 +99,3 @@ def zero_sum_tuples(group: Group, n: int) -> Iterator[tuple[int, ...]]:
     for head in itertools.product(group.elements, repeat=n - 1):
         last = group.neg(group.tuple_sum(head))
         yield head + (last,)
-
-
-def automorphisms(group: Group) -> tuple[tuple[int, ...], ...]:
-    """All group automorphisms, each as a mapping table ``phi[x]``.
-
-    Brute force over permutations of the nonzero elements; the groups here
-    have at most four elements so this is instant.  Z2 has only the
-    identity, Z3 has the inversion as well, and Z2xZ2 has the full S3
-    permuting its three involutions.
-    """
-    maps = []
-    for perm in itertools.permutations(group.nonzero):
-        phi = (0,) + perm
-        if all(
-            phi[group.add(x, y)] == group.add(phi[x], phi[y])
-            for x in group.elements
-            for y in group.elements
-        ):
-            maps.append(phi)
-    return tuple(sorted(maps))
-
-
-TRANSLATE = "translate"
-PERMUTE = "permute"
-AUTOMORPHISM = "automorphism"
-
-
-@dataclass(frozen=True)
-class SymmetryAction:
-    """One symmetry of the claw polytope, in projected coordinates.
-
-    Three kinds: ``translate`` shifts every tuple entry by a fixed zero-sum
-    tuple h; ``permute`` reorders the n blocks by a permutation (``data[j]``
-    is the source block of new block j, 0-based); ``automorphism`` relabels
-    the nonzero elements inside every block by a group automorphism given as
-    a full mapping table.
-    """
-
-    kind: str
-    group: Group
-    n: int
-    data: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "data", tuple(int(v) for v in self.data))
-        if self.kind == TRANSLATE:
-            if len(self.data) != self.n or any(
-                    h not in self.group.elements for h in self.data):
-                raise ValueError("translation tuple must have n group elements")
-            if self.group.tuple_sum(self.data) != 0:
-                raise ValueError("translation tuple must sum to the identity")
-        elif self.kind == PERMUTE:
-            if sorted(self.data) != list(range(self.n)):
-                raise ValueError("permutation must rearrange 0..n-1")
-        elif self.kind == AUTOMORPHISM:
-            if self.data not in automorphisms(self.group):
-                raise ValueError("mapping table is not a group automorphism")
-        else:
-            raise ValueError(f"unknown symmetry kind {self.kind!r}")
-
-
-def apply_action(action: SymmetryAction, point) -> tuple:
-    """Apply a symmetry to a point of R^((|G|-1)n).
-
-    The identity coordinate of each block is reconstructed as one minus the
-    block sum before translating, then dropped again, so translation is an
-    affine map of the projected space.  All three kinds are volume
-    preserving and permute the polytope's vertex set.
-    """
-    group, n = action.group, action.n
-    width = group.order - 1
-    if len(point) != width * n:
-        raise ValueError(
-            f"point of length {len(point)} does not match R^{width * n}")
-    blocks = [tuple(point[j * width:(j + 1) * width]) for j in range(n)]
-
-    if action.kind == PERMUTE:
-        new_blocks = [blocks[action.data[j]] for j in range(n)]
-    elif action.kind == AUTOMORPHISM:
-        phi = action.data
-        new_blocks = []
-        for block in blocks:
-            out = [None] * width
-            for g in group.nonzero:
-                out[phi[g] - 1] = block[g - 1]
-            new_blocks.append(tuple(out))
-    else:
-        new_blocks = []
-        for j, block in enumerate(blocks):
-            h = action.data[j]
-            full = (1 - sum(block),) + block
-            new_blocks.append(
-                tuple(full[group.add(g, h)] for g in group.nonzero))
-    return tuple(v for block in new_blocks for v in block)
-
-
-def random_action(group: Group, n: int, rng) -> SymmetryAction:
-    """Sample one valid symmetry uniformly over kind, using ``rng``."""
-    kind = rng.choice((TRANSLATE, PERMUTE, AUTOMORPHISM))
-    if kind == TRANSLATE:
-        head = tuple(rng.choice(group.elements) for _ in range(n - 1))
-        last = group.neg(group.tuple_sum(head))
-        data = head + (last,)
-    elif kind == PERMUTE:
-        order = list(range(n))
-        rng.shuffle(order)
-        data = tuple(order)
-    else:
-        data = rng.choice(automorphisms(group))
-    return SymmetryAction(kind, group, n, data)

@@ -15,7 +15,7 @@ import json
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
-from .geometry import HPolytope, VPolytope
+from .geometry import HalfSpace, HPolytope, VPolytope
 
 
 def rat_to_str(value: int | Fraction) -> str:
@@ -88,10 +88,11 @@ def vpolytope_json(vp: VPolytope) -> Iterator[str]:
                          map(_vertex_item, vp.vertices))
 
 
-def hpolytope_json(hp: HPolytope) -> Iterator[str]:
-    """``dumps(hpolytope_to_doc(hp))`` in pieces, one halfspace at a time."""
-    return _dumps_pieces({"kind": "hpolytope", "dim": hp.dim}, "halfspaces",
-                         map(_halfspace_item, hp.halfspaces))
+def hpolytope_json(dim: int, halfspaces: Iterable[HalfSpace]) -> Iterator[str]:
+    """``dumps(hpolytope_to_doc(HPolytope(dim, halfspaces)))`` in pieces,
+    taking one halfspace at a time from any iterable."""
+    return _dumps_pieces({"kind": "hpolytope", "dim": dim}, "halfspaces",
+                         map(_halfspace_item, halfspaces))
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +113,10 @@ def ext_lines(vp: VPolytope) -> Iterator[str]:
                         len(vp.rows), vp.dim + 1)
 
 
-def ine_lines(hp: HPolytope) -> Iterator[str]:
-    """The ``.ine`` block, one line at a time."""
+def ine_lines(dim: int, halfspaces: Iterable[HalfSpace],
+              count: int) -> Iterator[str]:
+    """The ``.ine`` block of ``count`` halfspaces in R^dim, one line at a
+    time; the header states the count before any halfspace is taken."""
     return _block_lines("H-representation",
-                        ([h.offset, *(-x for x in h.normal)] for h in hp.halfspaces),
-                        len(hp.halfspaces), hp.dim + 1)
+                        ([h.offset, *(-x for x in h.normal)] for h in halfspaces),
+                        count, dim + 1)

@@ -2,7 +2,7 @@
 point-in-halfspace tests, V/H agreement, vertex enumeration through
 ``VPolytope``'s own normalization, the two ways of building a polytope
 triangulated side by side, which cuts are facets, whole cdd-style blocks,
-and the triple-lemma count."""
+the triple-lemma count, and random symmetries of the claw polytope."""
 
 import math
 from fractions import Fraction
@@ -117,7 +117,49 @@ def write_ext(vp: VPolytope) -> str:
 
 
 def write_ine(hp: HPolytope) -> str:
-    return "".join(ine_lines(hp))
+    return "".join(ine_lines(hp.dim, hp.halfspaces, len(hp.halfspaces)))
+
+
+def random_symmetry(group, n: int, rng):
+    """A random symmetry of the claw polytope, as a map on projected points.
+
+    One of three kinds, each with equal chance: shift the entries of every
+    tuple by a fixed zero-sum tuple, reorder the n blocks, or relabel the
+    nonzero elements of every block by a group automorphism.  Each block is
+    completed by its identity coordinate, one minus the block sum, moved,
+    and projected again, so every kind is an affine lattice map.
+    """
+    add, elements = group.add_table, group.elements
+    kind = rng.randrange(3)
+    if kind == 0:
+        head = [rng.choice(elements) for _ in range(n - 1)]
+        shift = head + [group.neg(group.tuple_sum(head))]
+
+        def move(blocks):
+            return [[b[add[g][s]] for g in elements]
+                    for b, s in zip(blocks, shift)]
+    elif kind == 1:
+        order = rng.sample(range(n), n)
+
+        def move(blocks):
+            return [blocks[j] for j in order]
+    else:
+        while True:
+            phi = [0, *rng.sample(group.nonzero, len(group.nonzero))]
+            if all(phi[add[x][y]] == add[phi[x]][phi[y]]
+                   for x in elements for y in elements):
+                break
+
+        def move(blocks):
+            return [[b[phi.index(g)] for g in elements] for b in blocks]
+
+    width = group.order - 1
+
+    def act(point):
+        blocks = [(1 - sum(point[i:i + width]), *point[i:i + width])
+                  for i in range(0, len(point), width)]
+        return tuple(v for b in move(blocks) for v in b[1:])
+    return act
 
 
 def delta_mask(a: int, b: int, c: int) -> int:

@@ -22,10 +22,10 @@ from clawvol.clawpoly import facets, lattice, vertices
 from clawvol.cuts import LEMMA_GROUPS, LEMMA_IDS, run_lemma
 from clawvol.formulas import degree_rational
 from clawvol.geometry import VPolytope, lattice_index
-from clawvol.groups import GROUPS, Z2, Z2xZ2, Z3, apply_action, random_action
+from clawvol.groups import GROUPS, Z2, Z2xZ2, Z3
 from clawvol.verify import METHODS, degree_by_method
 from clawvol.volume import lattice_volume
-from helpers import count_singleton_delta_triples, vh_consistent
+from helpers import count_singleton_delta_triples, random_symmetry, vh_consistent
 from joins import join_product_many
 
 
@@ -125,8 +125,8 @@ def test_criterion_08_symmetries_permute_vertices(capsys):
         for group in GROUPS.values():
             verts = set(vertices(group, 3).vertices)
             for _ in range(50):
-                action = random_action(group, 3, rng)
-                assert {apply_action(action, v) for v in verts} == verts
+                action = random_symmetry(group, 3, rng)
+                assert {action(v) for v in verts} == verts
 
 
 def _random_factor(rng):

@@ -172,8 +172,19 @@ def test_ambient_volumes_frozen(group, n, volume):
                          ids=("z2", "z2xz2", "z3"))
 def test_model_lattice_index(group, index):
     assert model_lattice_index(group) == index
-    for n in (2, 3, 4):
-        assert lattice_index(lattice(group, n)) == index
+    width = group.order - 1
+    for n in range(2, 9):
+        basis = lattice(group, n)
+        assert lattice_index(basis) == index
+        # Each row lies in the kernel of the map sending the unit vector of
+        # block j and element g to g; at n = 2 the vertices do not span, so
+        # this is what pins the basis down there.
+        for row in basis.generators:
+            image = 0
+            for i, x in enumerate(row):
+                for _ in range(x % group.order):
+                    image = group.add_table[image][i % width + 1]
+            assert image == 0
 
 
 def span_index(rows, dim):

@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import clawvol
-from clawvol import cli, cuts, geometry, serialize, verify
+from clawvol import cli, clawpoly, cuts, geometry, serialize, verify
 from clawvol.cli import main
 
 
@@ -212,10 +212,10 @@ def spies(monkeypatch):
     # run_lemma builds its claims through this module binding.
     monkeypatch.setattr(cuts, "lemma_claims", spy)
     # The CLI's own bindings of formulas.degree_table and of
-    # clawpoly.vertices and clawpoly.facets.
+    # clawpoly.vertices and clawpoly.facet_halfspaces.
     monkeypatch.setattr(cli, "degree_table", spy)
     monkeypatch.setattr(cli, "claw_vertices", spy)
-    monkeypatch.setattr(cli, "claw_facets", spy)
+    monkeypatch.setattr(cli, "facet_halfspaces", spy)
 
 
 TOO_MANY = "triangulation refused: 243 vertices exceed 200 (pass the override to force)"
@@ -301,6 +301,18 @@ def test_listed_rows_match_the_library(group_name):
             clawvol.vertices(group, n).vertices)
         assert cli._listed_rows("facets", group, n) == len(
             clawvol.facets(group, n).halfspaces)
+
+
+@pytest.mark.parametrize("group_name", ["z2", "z2xz2", "z3"])
+def test_streamed_facets_match_the_polytope(group_name):
+    group = clawvol.GROUPS[group_name]
+    for n in range(2, 7):
+        streamed = list(clawpoly.facet_halfspaces(group, n))
+        assert streamed == list(clawvol.facets(group, n).halfspaces)
+        assert len(streamed) == cli._listed_rows("facets", group, n)
+    # n is checked on the call, before an .ine header could be written.
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        clawpoly.facet_halfspaces(group, 1)
 
 
 def test_routes_that_do_not_triangulate_are_not_guarded(runner):

@@ -76,7 +76,7 @@ def test_json_pieces_of_empty_lists():
     vp = VPolytope(2, ())
     hp = HPolytope(2, ())
     assert "".join(vpolytope_json(vp)) == dumps(vpolytope_to_doc(vp))
-    assert "".join(hpolytope_json(hp)) == dumps(hpolytope_to_doc(hp))
+    assert "".join(hpolytope_json(hp.dim, hp.halfspaces)) == dumps(hpolytope_to_doc(hp))
     assert '"vertices": []' in "".join(vpolytope_json(vp))
 
 
