@@ -14,8 +14,6 @@ from .clawpoly import (
     ambient,
     ambient_dim,
     cut_halfspace,
-    facet_cuts,
-    facets,
     lattice,
     model_lattice_index,
     subset_cut,
@@ -66,8 +64,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MINUS", "PLUS", "OddSubsetCut", "ambient", "ambient_dim",
-    "cut_halfspace", "facet_cuts", "facets", "lattice",
-    "model_lattice_index", "subset_cut", "tuple_cut", "vertices",
+    "cut_halfspace", "lattice", "model_lattice_index", "subset_cut",
+    "tuple_cut", "vertices",
     "CutSpec", "LEMMA_IDS", "LemmaClaim", "assemble", "check_lemma",
     "cut_piece", "lemma_claims", "piece_volume", "run_lemma",
     "FormulaError", "cut_formula", "degree", "degree_table",

@@ -9,8 +9,8 @@ Each polytope has one 0/1 vertex per zero-sum tuple over the group, and a
 facet system made of nonnegativity, per-block upper bounds, and a family of
 cut inequalities indexed by subsets of [n] (Z2, Z2xZ2) or by digit tuples in
 {0,1,2}^n (Z3) in two dual channels.
-``facet_halfspaces`` walks the facet system one halfspace at a time, so a
-listing never holds it whole; ``facets`` collects the same walk.
+``facet_halfspaces``, the one form of the facet system, walks it one
+halfspace at a time and builds each cut as it is reached.
 
 A cut builds each side's halfspace once, on first use, and keeps it on the
 cut object.  ``cuts.lemma_claims`` shares one cut object among all the
@@ -151,9 +151,9 @@ def z3_tuples(n: int) -> Iterator[tuple[int, ...]]:
     return itertools.product((0, 1, 2), repeat=n)
 
 
-def z3_facet_tuples(n: int) -> list[tuple[int, ...]]:
-    """Digit tuples with sum 2 mod 3, in lexicographic order."""
-    return [t for t in z3_tuples(n) if sum(t) % 3 == 2]
+def z3_facet_tuples(n: int) -> Iterator[tuple[int, ...]]:
+    """Digit tuples with sum 2 mod 3, in lexicographic order, one at a time."""
+    return (t for t in z3_tuples(n) if sum(t) % 3 == 2)
 
 
 MINUS = "minus"
@@ -248,12 +248,6 @@ def _facet_cut_walk(group: Group, n: int) -> Iterator[OddSubsetCut]:
                 yield subset_cut(group, n, _mask_positions(mask), channel)
 
 
-def facet_cuts(group: Group, n: int) -> tuple[OddSubsetCut, ...]:
-    """All cuts whose plus side is a facet, in ``_facet_cut_walk`` order."""
-    _check_n(n, 1)
-    return tuple(_facet_cut_walk(group, n))
-
-
 def facet_halfspaces(group: Group, n: int) -> Iterator[HalfSpace]:
     """The facet system one halfspace at a time: the ambient bounds, then
     each facet cut's plus side, built as it is reached.
@@ -264,13 +258,6 @@ def facet_halfspaces(group: Group, n: int) -> Iterator[HalfSpace]:
     return itertools.chain(
         ambient(group, n).halfspaces,
         (cut_halfspace(c, PLUS) for c in _facet_cut_walk(group, n)))
-
-
-def facets(group: Group, n: int) -> HPolytope:
-    """The verbatim facet system, ``facet_halfspaces`` collected, on the
-    ambient polytope as its base."""
-    return HPolytope(ambient_dim(group, n), tuple(facet_halfspaces(group, n)),
-                     ambient(group, n))
 
 
 # Rows generating the model lattice inside block 0: the kernel of the

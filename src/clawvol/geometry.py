@@ -106,32 +106,33 @@ class HalfSpace:
 class HPolytope:
     """A polyhedron given by finitely many halfspaces in R^dim.
 
-    ``base`` is the polytope whose halfspaces this one extends, set by
-    ``with_halfspaces``.  ``vertex_enumeration`` resumes from the base's
-    cone, which it computes once and keeps in the base's ``_cone``.  Neither
-    field takes part in equality, hashing or repr.
+    ``base`` is the polytope whose halfspaces are a prefix of these; only
+    ``with_halfspaces`` sets it.  ``vertex_enumeration`` resumes from the
+    base's cone, which it computes once and keeps in the base's ``_cone``.
+    Neither field is a constructor argument or takes part in equality,
+    hashing or repr.
     """
 
     dim: int
     halfspaces: tuple[HalfSpace, ...]
-    base: HPolytope | None = field(default=None, compare=False, repr=False)
+    base: HPolytope | None = field(default=None, init=False, compare=False,
+                                   repr=False)
     _cone: tuple | None = field(default=None, init=False, compare=False,
                                 repr=False)
 
     def __post_init__(self):
-        base = self.base
-        prefix = base is not None and base.dim == self.dim and (
-            self.halfspaces[:len(base.halfspaces)] == base.halfspaces)
-        # A base checked its own halfspaces; only the added ones are new.
-        for hs in self.halfspaces[len(base.halfspaces) if prefix else 0:]:
+        for hs in self.halfspaces:
             if hs.dim != self.dim:
                 raise ValueError(
                     f"halfspace in R^{hs.dim} does not match ambient R^{self.dim}")
-        if base is not None and not prefix:
-            raise ValueError("the base's halfspaces must be a prefix of these")
 
     def with_halfspaces(self, extra: Iterable[HalfSpace]) -> "HPolytope":
-        return HPolytope(self.dim, self.halfspaces + tuple(extra), self)
+        # Checked on the added rows alone, as this polytope checked its own;
+        # then this polytope's rows go in front and it becomes the base.
+        child = HPolytope(self.dim, tuple(extra))
+        object.__setattr__(child, "halfspaces", self.halfspaces + child.halfspaces)
+        object.__setattr__(child, "base", self)
+        return child
 
 
 @dataclass(frozen=True, init=False)

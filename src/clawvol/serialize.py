@@ -15,7 +15,7 @@ import json
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
-from .geometry import HalfSpace, HPolytope, VPolytope
+from .geometry import HalfSpace, VPolytope
 
 
 def rat_to_str(value: int | Fraction) -> str:
@@ -30,31 +30,6 @@ def rat_to_str(value: int | Fraction) -> str:
 # ---------------------------------------------------------------------------
 # JSON documents
 # ---------------------------------------------------------------------------
-
-def _vertex_item(v) -> list[str]:
-    return [rat_to_str(x) for x in v]
-
-
-def _halfspace_item(h) -> dict:
-    return {"normal": [rat_to_str(x) for x in h.normal],
-            "offset": rat_to_str(h.offset)}
-
-
-def vpolytope_to_doc(vp: VPolytope) -> dict:
-    return {
-        "kind": "vpolytope",
-        "dim": vp.dim,
-        "vertices": [_vertex_item(v) for v in vp.vertices],
-    }
-
-
-def hpolytope_to_doc(hp: HPolytope) -> dict:
-    return {
-        "kind": "hpolytope",
-        "dim": hp.dim,
-        "halfspaces": [_halfspace_item(h) for h in hp.halfspaces],
-    }
-
 
 def dumps(doc: dict | list) -> str:
     """Canonical JSON text: sorted keys, two-space indent, trailing newline."""
@@ -83,16 +58,20 @@ def _dumps_pieces(doc: dict, key: str, items: Iterable) -> Iterator[str]:
 
 
 def vpolytope_json(vp: VPolytope) -> Iterator[str]:
-    """``dumps(vpolytope_to_doc(vp))`` in pieces, one vertex at a time."""
+    """The JSON document of ``vp``: kind "vpolytope", its dim, and each
+    vertex as a list of rational strings, in pieces, one vertex at a time."""
     return _dumps_pieces({"kind": "vpolytope", "dim": vp.dim}, "vertices",
-                         map(_vertex_item, vp.vertices))
+                         ([rat_to_str(x) for x in v] for v in vp.vertices))
 
 
 def hpolytope_json(dim: int, halfspaces: Iterable[HalfSpace]) -> Iterator[str]:
-    """``dumps(hpolytope_to_doc(HPolytope(dim, halfspaces)))`` in pieces,
-    taking one halfspace at a time from any iterable."""
-    return _dumps_pieces({"kind": "hpolytope", "dim": dim}, "halfspaces",
-                         map(_halfspace_item, halfspaces))
+    """The JSON document of ``halfspaces`` in R^dim: kind "hpolytope", the
+    dim, and each halfspace's normal and offset as rational strings, in
+    pieces, taking one halfspace at a time from any iterable."""
+    return _dumps_pieces(
+        {"kind": "hpolytope", "dim": dim}, "halfspaces",
+        ({"normal": [rat_to_str(x) for x in h.normal],
+          "offset": rat_to_str(h.offset)} for h in halfspaces))
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,24 @@
 """Checks that only the tests use: halfspace evaluation and exact
 point-in-halfspace tests, V/H agreement, vertex enumeration through
 ``VPolytope``'s own normalization, the two ways of building a polytope
-triangulated side by side, which cuts are facets, whole cdd-style blocks,
+triangulated side by side, which cuts are facets, the facet system built
+apart from ``clawpoly``'s walk, whole JSON documents and cdd-style blocks,
 the triple-lemma count, and random symmetries of the claw polytope."""
 
+import itertools
 import math
 from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from clawvol.clawpoly import OddSubsetCut
+from clawvol.clawpoly import (
+    PLUS,
+    OddSubsetCut,
+    ambient,
+    cut_halfspace,
+    subset_cut,
+    tuple_cut,
+)
 from clawvol.geometry import (
     HalfSpace,
     HPolytope,
@@ -19,8 +28,8 @@ from clawvol.geometry import (
     vertex_enumeration,
     vertex_rays,
 )
-from clawvol.groups import Z3
-from clawvol.serialize import ext_lines, ine_lines
+from clawvol.groups import Z2, Z3
+from clawvol.serialize import ext_lines, ine_lines, rat_to_str
 from clawvol.volume import triangulate
 
 
@@ -110,6 +119,50 @@ def is_facet(cut: OddSubsetCut) -> bool:
     if cut.group is Z3:
         return sum(cut.subset) % 3 == 2
     return len(cut.subset) % 2 == 1
+
+
+def facet_cuts(group, n: int) -> tuple[OddSubsetCut, ...]:
+    """Every cut whose plus side is a facet, enumerated here and not by
+    ``clawpoly``'s walk, in the order the walk must follow: channel by
+    channel, odd subsets of [n] by ascending bitmask (Z2, Z2xZ2), or digit
+    tuples with sum 2 mod 3 in lexicographic order (Z3)."""
+    if group is Z3:
+        return tuple(tuple_cut(n, digits, channel) for channel in (1, 2)
+                     for digits in itertools.product(range(3), repeat=n)
+                     if sum(digits) % 3 == 2)
+    return tuple(
+        subset_cut(group, n, [j + 1 for j in range(n) if mask >> j & 1], g)
+        for g in ((1,) if group is Z2 else (1, 2, 3))
+        for mask in range(1 << n) if bin(mask).count("1") % 2)
+
+
+def facets(group, n: int) -> HPolytope:
+    """The facet system: the ambient bounds cut by the plus side of each of
+    ``facet_cuts``, with the ambient polytope as its base."""
+    return ambient(group, n).with_halfspaces(
+        cut_halfspace(c, PLUS) for c in facet_cuts(group, n))
+
+
+def vpolytope_to_doc(vp: VPolytope) -> dict:
+    """The whole JSON document of a V-polytope, for the streamed writer to
+    match."""
+    return {
+        "kind": "vpolytope",
+        "dim": vp.dim,
+        "vertices": [[rat_to_str(x) for x in v] for v in vp.vertices],
+    }
+
+
+def hpolytope_to_doc(hp: HPolytope) -> dict:
+    """The whole JSON document of an H-polytope, for the streamed writer to
+    match."""
+    return {
+        "kind": "hpolytope",
+        "dim": hp.dim,
+        "halfspaces": [{"normal": [rat_to_str(x) for x in h.normal],
+                        "offset": rat_to_str(h.offset)}
+                       for h in hp.halfspaces],
+    }
 
 
 def write_ext(vp: VPolytope) -> str:

@@ -18,14 +18,19 @@ from click.testing import CliRunner
 
 import clawvol.verify
 from clawvol.cli import main as cli_main
-from clawvol.clawpoly import facets, lattice, vertices
+from clawvol.clawpoly import lattice, vertices
 from clawvol.cuts import LEMMA_GROUPS, LEMMA_IDS, run_lemma
 from clawvol.formulas import degree_rational
 from clawvol.geometry import VPolytope, lattice_index
 from clawvol.groups import GROUPS, Z2, Z2xZ2, Z3
 from clawvol.verify import METHODS, degree_by_method
 from clawvol.volume import lattice_volume
-from helpers import count_singleton_delta_triples, random_symmetry, vh_consistent
+from helpers import (
+    count_singleton_delta_triples,
+    facets,
+    random_symmetry,
+    vh_consistent,
+)
 from joins import join_product_many
 
 

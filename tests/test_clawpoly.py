@@ -1,6 +1,8 @@
 """The model polytopes: vertices, cuts, facet systems, lattices."""
 
+import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -15,8 +17,7 @@ from clawvol.clawpoly import (
     ambient_dim,
     block_width,
     cut_halfspace,
-    facet_cuts,
-    facets,
+    facet_halfspaces,
     lattice,
     model_lattice_index,
     s_coefficients,
@@ -27,7 +28,15 @@ from clawvol.clawpoly import (
 from clawvol.geometry import VPolytope, lattice_index, vertex_enumeration
 from clawvol.groups import GROUPS, Z2, Z2xZ2, Z3, zero_sum_tuples
 from clawvol.volume import lattice_volume
-from helpers import contains, holds, is_facet, value, vh_consistent
+from helpers import (
+    contains,
+    facet_cuts,
+    facets,
+    holds,
+    is_facet,
+    value,
+    vh_consistent,
+)
 
 ALL_GROUPS = list(GROUPS.values())
 
@@ -151,6 +160,19 @@ def test_facet_system_supports_vertices(group):
     for cut in facet_cuts(group, n):
         minus = cut_halfspace(cut, MINUS)
         assert min(value(minus, v) for v in vp.vertices) == cut.rhs
+
+
+def test_z3_facet_walk_is_lazy():
+    # The first rows of the Z3 facet system come before its 177147 digit
+    # tuples at n = 12 are built: a list of them would take about 25 MB.
+    tracemalloc.start()
+    try:
+        rows = list(itertools.islice(facet_halfspaces(Z3, 12), 36 + 5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows[36] == cut_halfspace(tuple_cut(12, (0,) * 11 + (2,), 1), PLUS)
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("group,n", [(Z2, 6), (Z2, 7), (Z2, 8), (Z3, 4), (Z2xZ2, 4)],

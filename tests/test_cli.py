@@ -14,6 +14,7 @@ from click.testing import CliRunner
 import clawvol
 from clawvol import cli, clawpoly, cuts, geometry, serialize, verify
 from clawvol.cli import main
+from helpers import facets, hpolytope_to_doc, vpolytope_to_doc
 
 
 @pytest.fixture
@@ -300,7 +301,7 @@ def test_listed_rows_match_the_library(group_name):
         assert cli._listed_rows("vertices", group, n) == len(
             clawvol.vertices(group, n).vertices)
         assert cli._listed_rows("facets", group, n) == len(
-            clawvol.facets(group, n).halfspaces)
+            facets(group, n).halfspaces)
 
 
 @pytest.mark.parametrize("group_name", ["z2", "z2xz2", "z3"])
@@ -308,7 +309,7 @@ def test_streamed_facets_match_the_polytope(group_name):
     group = clawvol.GROUPS[group_name]
     for n in range(2, 7):
         streamed = list(clawpoly.facet_halfspaces(group, n))
-        assert streamed == list(clawvol.facets(group, n).halfspaces)
+        assert streamed == list(facets(group, n).halfspaces)
         assert len(streamed) == cli._listed_rows("facets", group, n)
     # n is checked on the call, before an .ine header could be written.
     with pytest.raises(ValueError, match="n must be >= 2"):
@@ -397,8 +398,8 @@ def test_streamed_json_matches_whole_document(runner, group, n):
     # of the whole document.
     g = clawvol.GROUPS[group]
     expected = {
-        "vertices": serialize.vpolytope_to_doc(clawvol.vertices(g, n)),
-        "facets": serialize.hpolytope_to_doc(clawvol.facets(g, n)),
+        "vertices": vpolytope_to_doc(clawvol.vertices(g, n)),
+        "facets": hpolytope_to_doc(facets(g, n)),
     }
     for verb, doc in expected.items():
         result = invoke(runner, verb, "--group", group, "--n", str(n),

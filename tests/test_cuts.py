@@ -14,7 +14,6 @@ from clawvol.clawpoly import (
     ambient,
     ambient_dim,
     cut_halfspace,
-    facet_cuts,
     model_lattice_index,
     s_coefficients,
     subset_cut,
@@ -43,6 +42,7 @@ from clawvol.volume import lattice_volume
 from helpers import (
     count_singleton_delta_triples,
     delta_mask,
+    facet_cuts,
     holds,
     normalized_vertices,
     paths_agree,
@@ -212,6 +212,7 @@ BEYOND_CRITERION_05 = [
     ("z2z2-single-cut-volume", 4, "4120"),
     ("z2z2-cross-channel-pair-volume", 4, "139/2"),
     ("z2z2-triple-channel-volume", 4, "29/8"),
+    ("z2z2-triple-channel-volume", 5, "61/16"),
     ("z3-single-cut-volume", 5, "507/16"),
     ("z3-single-cut-volume", 6, "1021/16"),
     ("z3-cross-channel-pair-volume", 5, "23/8"),
@@ -247,7 +248,7 @@ def test_volume_pieces_are_stored_as_vpolytope_would():
         hp = cut_piece(spec)
         assert same_points(vertex_enumeration(hp), normalized_vertices(hp))
         checked += 1
-    assert checked == 770
+    assert checked == 771
 
 
 def test_integer_rows_and_points_triangulate_alike_on_every_volume_piece():
@@ -255,7 +256,7 @@ def test_integer_rows_and_points_triangulate_alike_on_every_volume_piece():
     for spec in volume_pieces():
         assert paths_agree(cut_piece(spec))
         checked += 1
-    assert checked == 770
+    assert checked == 771
 
 
 @pytest.mark.parametrize("lemma_id", ["z3-single-cut-volume",

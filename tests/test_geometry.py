@@ -32,7 +32,7 @@ from clawvol.geometry import (
     _primitive,
     _scaled_integers,
 )
-from clawvol.serialize import dumps, vpolytope_to_doc
+from clawvol.serialize import dumps
 from helpers import (
     contains,
     flipped,
@@ -42,6 +42,7 @@ from helpers import (
     same_points,
     value,
     vh_consistent,
+    vpolytope_to_doc,
     write_ext,
 )
 
@@ -668,22 +669,14 @@ def test_resumed_enumeration_matches_full(case):
         base = base.base
 
 
-def test_base_must_be_a_prefix():
-    square = box((0, 1), (0, 1))
-    with pytest.raises(ValueError, match="prefix"):
-        HPolytope(2, square.halfspaces[1:], square)
-    with pytest.raises(ValueError, match="prefix"):
-        HPolytope(3, (), HPolytope(2, ()))
-
-
 def test_a_polytope_with_a_base_checks_the_halfspaces_it_adds():
     square = box((0, 1), (0, 1))
     with pytest.raises(ValueError, match=r"halfspace in R\^3 does not match"):
         square.with_halfspaces((HalfSpace((1, 1), 1), HalfSpace((1, 1, 1), 1)))
     with pytest.raises(ValueError, match=r"halfspace in R\^1 does not match"):
-        HPolytope(2, (*square.halfspaces, HalfSpace((1,), 1)), square)
-    # A base that is not a prefix is refused, however valid the rows are.
-    with pytest.raises(ValueError, match="prefix"):
+        square.with_halfspaces((HalfSpace((1,), 1),))
+    # Only with_halfspaces sets a base; the constructor takes none.
+    with pytest.raises(TypeError):
         HPolytope(2, (HalfSpace((1, 1), 1), *square.halfspaces), square)
 
 

@@ -5,18 +5,22 @@ from fractions import Fraction
 
 import pytest
 
-from clawvol.clawpoly import facets, vertices
+from clawvol.clawpoly import vertices
 from clawvol.geometry import HPolytope, HalfSpace, VPolytope
 from clawvol.groups import GROUPS
 from clawvol.serialize import (
     dumps,
     hpolytope_json,
-    hpolytope_to_doc,
     rat_to_str,
     vpolytope_json,
-    vpolytope_to_doc,
 )
-from helpers import write_ext, write_ine
+from helpers import (
+    facets,
+    hpolytope_to_doc,
+    vpolytope_to_doc,
+    write_ext,
+    write_ine,
+)
 
 F = Fraction
 
