@@ -2,6 +2,10 @@
 
 Verbs: vertices, facets, volume, degree, assemble, verify, lemma, table.
 Output is deterministic; identical commands give byte-identical results.
+Every format lives in ``serialize``: a verb hands ``_emit`` the pieces its
+writer makes, and they are written as they come, so no listing and no list
+of claim records is held whole.  Only the one-number line of ``degree``,
+``volume`` and ``assemble`` is written here.
 
 Exit codes: 0 success, 1 verification failure (a refuted claim or a
 cross-check mismatch), 2 usage error, 3 guard-rail refusal.  Every guard
@@ -13,8 +17,8 @@ with --override-guard or the CLAWVOL_OVERRIDE_GUARD environment variable.
 from __future__ import annotations
 
 import functools
-import json
 import sys
+from collections import Counter
 from collections.abc import Iterable
 
 import click
@@ -27,7 +31,6 @@ from .formulas import degree_table
 from .groups import Z3, Group, group_by_name
 from .serialize import rat_to_str
 from .verify import METHODS, TRIANGULATION, degree_by_method, verify_degree
-from .verify import verify_doc, verify_text
 
 GUARD_ENV = "CLAWVOL_OVERRIDE_GUARD"
 MAX_DIM = 14
@@ -163,14 +166,7 @@ def vertices_cmd(group_name: str, n: int, fmt: str, output: str | None,
     """List the polytope's vertices."""
     group = group_by_name(group_name)
     _guard(override_guard, "vertices", group, n)
-    vp = claw_vertices(group, n)
-    if fmt == "text":
-        lines = (" ".join(rat_to_str(x) for x in v) + "\n" for v in vp.vertices)
-    elif fmt == "json":
-        lines = serialize.vpolytope_json(vp)
-    else:
-        lines = serialize.ext_lines(vp)
-    _emit(lines, output)
+    _emit(serialize.vertex_lines(claw_vertices(group, n), fmt), output)
 
 
 @main.command("facets")
@@ -187,18 +183,8 @@ def facets_cmd(group_name: str, n: int, fmt: str, output: str | None,
     group = group_by_name(group_name)
     _guard(override_guard, "facets", group, n)
     rows = facet_halfspaces(group, n)
-    dim = ambient_dim(group, n)
-    if fmt == "text":
-        lines = (
-            " ".join(rat_to_str(x) for x in h.normal) + " <= "
-            + rat_to_str(h.offset) + "\n"
-            for h in rows
-        )
-    elif fmt == "json":
-        lines = serialize.hpolytope_json(dim, rows)
-    else:
-        lines = serialize.ine_lines(dim, rows, _listed_rows("facets", group, n))
-    _emit(lines, output)
+    _emit(serialize.facet_lines(ambient_dim(group, n), rows,
+                                _listed_rows("facets", group, n), fmt), output)
 
 
 @main.command("volume")
@@ -268,11 +254,7 @@ def verify_cmd(group_name: str, n: int, methods: tuple[str, ...], fmt: str,
         selected += tuple(p for p in picked if p not in selected)
     _guard(override_guard, "verify", group, n, methods=selected)
     result = verify_degree(group, n, selected)
-    if fmt == "text":
-        text = verify_text(result)
-    else:
-        text = serialize.dumps(verify_doc(result))
-    _emit([text], output)
+    _emit(serialize.verify_lines(result, fmt), output)
     if not result.consistent:
         _fail(1, "verify", f"methods disagree for group={group.name} n={n}")
 
@@ -297,21 +279,20 @@ def lemma_cmd(lemma_id: str, n: int, group_name: str | None, fmt: str,
             f"lemma {lemma_id} concerns group {expected_group.name}, "
             f"not {group_name}")
     _guard(override_guard, "lemma", expected_group, n, lemma_id=lemma_id)
+    # Called before the output is opened, so a usage error writes no file.
     records = run_lemma(lemma_id, n)
-    if fmt == "json":
-        text = serialize.dumps(records)
-    else:
-        # One line per record; a family with no instances writes nothing.
-        text = "".join(
-            f"{r['lemma']} {json.dumps(r['hypothesis'], sort_keys=True)} "
-            f"expected={r['expected']} computed={r['computed']} {r['verdict']}\n"
-            for r in records)
-    _emit([text], output)
-    refuted = sum(1 for r in records if r["verdict"] != "confirmed")
-    if refuted:
+    verdicts: Counter[str] = Counter()
+
+    def counted() -> Iterable[dict]:
+        for record in records:
+            verdicts[record["verdict"]] += 1
+            yield record
+
+    _emit(serialize.lemma_lines(counted(), fmt), output)
+    if verdicts["refuted"]:
         _fail(1, "lemma",
-              f"{refuted} of {len(records)} instances refuted for "
-              f"{lemma_id} at n={n}")
+              f"{verdicts['refuted']} of {sum(verdicts.values())} instances "
+              f"refuted for {lemma_id} at n={n}")
 
 
 def _parse_n_range(text: str) -> tuple[int, int]:
@@ -345,18 +326,7 @@ def table_cmd(group_name: str, n_range: str, fmt: str, output: str | None,
     group = group_by_name(group_name)
     lo, hi = _parse_n_range(n_range)
     _guard(override_guard, "table", group, hi)
-    rows = degree_table(group, lo, hi)
-    if fmt == "csv":
-        lines = ["group,n,degree"]
-        lines += [f"{group.name},{n},{deg}" for n, deg in rows]
-        text = "\n".join(lines) + "\n"
-    elif fmt == "json":
-        data = [{"group": group.name, "n": n, "degree": deg} for n, deg in rows]
-        text = serialize.dumps(data)
-    else:
-        lines = [f"{group.name} {n} {deg}" for n, deg in rows]
-        text = "\n".join(lines) + "\n"
-    _emit([text], output)
+    _emit(serialize.table_lines(group, degree_table(group, lo, hi), fmt), output)
 
 
 if __name__ == "__main__":

@@ -390,16 +390,18 @@ def check_lemma(claim: LemmaClaim) -> Verdict:
     raise ValueError(f"unknown claim kind {claim.kind!r}")
 
 
-def run_lemma(lemma_id: str, n: int) -> list[dict]:
-    """Check every instance; one JSON-ready record per claim."""
-    records = []
-    for claim in lemma_claims(lemma_id, n):
-        verdict = check_lemma(claim)
-        records.append({
-            "lemma": claim.lemma,
-            "hypothesis": claim.hypothesis(),
-            "expected": verdict.expected,
-            "computed": verdict.computed,
-            "verdict": "confirmed" if verdict.confirmed else "refuted",
-        })
-    return records
+def _lemma_record(claim: LemmaClaim) -> dict:
+    verdict = check_lemma(claim)
+    return {
+        "lemma": claim.lemma,
+        "hypothesis": claim.hypothesis(),
+        "expected": verdict.expected,
+        "computed": verdict.computed,
+        "verdict": "confirmed" if verdict.confirmed else "refuted",
+    }
+
+
+def run_lemma(lemma_id: str, n: int) -> Iterator[dict]:
+    """One JSON-ready record per claim, checked as it is taken; the claims
+    are built on the call, so a bad family or n raises here."""
+    return map(_lemma_record, lemma_claims(lemma_id, n))

@@ -1,8 +1,11 @@
-"""Exact-rational serialization: JSON documents and cdd-style text blocks.
+"""Every output format of the command line, as streams of pieces.
 
-Rationals render as ``p/q`` with the denominator omitted when it is 1, so
-logs and files stay exact.  The writers are canonical: equal polytopes give
-the same bytes.
+Each ``*_lines`` function yields one command's output in order, and the
+command line writes each piece as it comes; the library never imports this
+module.  Rationals render as ``p/q``, the denominator omitted when it is 1.
+The writers are canonical: equal inputs give the same bytes.  A listing's
+JSON is ``dumps`` of its document with an empty list, the list written one
+item at a time in its place.
 
 The ``.ine`` block stores one inequality per row as ``b  -a_1 ... -a_d``
 meaning b + <-a, x> >= 0, i.e. <a, x> <= b.  The ``.ext`` block stores one
@@ -14,8 +17,11 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
+from itertools import chain
 
 from .geometry import HalfSpace, VPolytope
+from .groups import Group
+from .verify import VerifyResult
 
 
 def rat_to_str(value: int | Fraction) -> str:
@@ -27,75 +33,93 @@ def rat_to_str(value: int | Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-# ---------------------------------------------------------------------------
-# JSON documents
-# ---------------------------------------------------------------------------
-
 def dumps(doc: dict | list) -> str:
     """Canonical JSON text: sorted keys, two-space indent, trailing newline."""
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _dumps_pieces(doc: dict, key: str, items: Iterable) -> Iterator[str]:
-    """``dumps`` of ``doc`` with ``doc[key]`` the list of ``items``, in pieces.
-
-    Only one item is rendered at a time: each is dumped on its own and
-    indented to its depth in the document, so the pieces join to the same
-    bytes as ``dumps`` of the whole document.
-    """
-    marker = f"{json.dumps(key)}: ["
-    head, tail = dumps({**doc, key: []}).split(marker + "]")
+def _json_list(items: Iterable, depth: int) -> Iterator[str]:
+    """A JSON list at ``depth`` in a ``dumps`` document, one item at a time."""
     encode = json.JSONEncoder(indent=2, sort_keys=True).encode
-    pieces = (encode(item).replace("\n", "\n    ") for item in items)
-    first = next(pieces, None)
-    if first is None:
-        yield head + marker + "]" + tail
+    indent = "\n" + "  " * (depth + 1)
+    opening = "["
+    for item in items:
+        yield opening + indent + encode(item).replace("\n", indent)
+        opening = ","
+    yield "[]" if opening == "[" else "\n" + "  " * depth + "]"
+
+
+def _json_listing(frame: dict | list, items: Iterable) -> Iterator[str]:
+    """``dumps`` of ``frame`` with its one empty list filled by ``items``: a
+    top-level list, or the list under a key of a top-level object."""
+    head, tail = dumps(frame).split("[]")
+    depth = 0 if isinstance(frame, list) else 1
+    return chain([head], _json_list(items, depth), [tail])
+
+
+def vertex_lines(vp: VPolytope, fmt: str) -> Iterator[str]:
+    """The vertices of ``vp`` as text rows, a JSON document of kind
+    "vpolytope" or an ``.ext`` block, one vertex at a time."""
+    if fmt == "text":
+        return (" ".join(map(rat_to_str, v)) + "\n" for v in vp.vertices)
+    if fmt == "json":
+        return _json_listing(
+            {"kind": "vpolytope", "dim": vp.dim, "vertices": []},
+            ([rat_to_str(x) for x in v] for v in vp.vertices))
+    header = f"V-representation\nbegin\n {len(vp.rows)} {vp.dim + 1} rational\n"
+    rows = (" 1 " + " ".join(map(rat_to_str, v)) + "\n" for v in vp.vertices)
+    return chain([header], rows, ["end\n"])
+
+
+def facet_lines(dim: int, halfspaces: Iterable[HalfSpace], count: int,
+                fmt: str) -> Iterator[str]:
+    """``count`` halfspaces <a, x> <= b in R^dim as text rows, a JSON
+    document of kind "hpolytope" or an ``.ine`` block, taking one halfspace
+    at a time from any iterable; the ``.ine`` header states the count
+    before any halfspace is taken."""
+    if fmt == "text":
+        return (" ".join(map(rat_to_str, h.normal)) + " <= "
+                + rat_to_str(h.offset) + "\n" for h in halfspaces)
+    if fmt == "json":
+        return _json_listing(
+            {"kind": "hpolytope", "dim": dim, "halfspaces": []},
+            ({"normal": [rat_to_str(x) for x in h.normal],
+              "offset": rat_to_str(h.offset)} for h in halfspaces))
+    header = f"H-representation\nbegin\n {count} {dim + 1} rational\n"
+    rows = (" " + " ".join(map(rat_to_str, (h.offset, *(-x for x in h.normal))))
+            + "\n" for h in halfspaces)
+    return chain([header], rows, ["end\n"])
+
+
+def verify_lines(result: VerifyResult, fmt: str) -> Iterator[str]:
+    """Each method's degree and whether they agree, as text or JSON."""
+    values = {m: rat_to_str(v) for m, v in result.values}
+    if fmt == "json":
+        yield dumps({"kind": "verify", "group": result.group.name,
+                     "n": result.n, "values": values,
+                     "consistent": result.consistent})
         return
-    yield f"{head}{marker}\n    {first}"
-    for piece in pieces:
-        yield f",\n    {piece}"
-    yield "\n  ]" + tail
+    yield f"group={result.group.name} n={result.n}\n"
+    yield from (f"{m}: {v}\n" for m, v in values.items())
+    yield "consistent: " + ("yes" if result.consistent else "NO") + "\n"
 
 
-def vpolytope_json(vp: VPolytope) -> Iterator[str]:
-    """The JSON document of ``vp``: kind "vpolytope", its dim, and each
-    vertex as a list of rational strings, in pieces, one vertex at a time."""
-    return _dumps_pieces({"kind": "vpolytope", "dim": vp.dim}, "vertices",
-                         ([rat_to_str(x) for x in v] for v in vp.vertices))
+def table_lines(group: Group, rows: Iterable[tuple[int, int]],
+                fmt: str) -> Iterator[str]:
+    """Rows (n, degree) as CSV with a header, text, or a JSON list."""
+    if fmt == "json":
+        return _json_listing([], ({"group": group.name, "n": n, "degree": deg}
+                                  for n, deg in rows))
+    sep = "," if fmt == "csv" else " "
+    lines = (f"{group.name}{sep}{n}{sep}{deg}\n" for n, deg in rows)
+    return chain(["group,n,degree\n"], lines) if fmt == "csv" else lines
 
 
-def hpolytope_json(dim: int, halfspaces: Iterable[HalfSpace]) -> Iterator[str]:
-    """The JSON document of ``halfspaces`` in R^dim: kind "hpolytope", the
-    dim, and each halfspace's normal and offset as rational strings, in
-    pieces, taking one halfspace at a time from any iterable."""
-    return _dumps_pieces(
-        {"kind": "hpolytope", "dim": dim}, "halfspaces",
-        ({"normal": [rat_to_str(x) for x in h.normal],
-          "offset": rat_to_str(h.offset)} for h in halfspaces))
-
-
-# ---------------------------------------------------------------------------
-# cdd-style text blocks
-# ---------------------------------------------------------------------------
-
-def _block_lines(header: str, rows: Iterable[list], count: int,
-                 width: int) -> Iterator[str]:
-    yield f"{header}\nbegin\n {count} {width} rational\n"
-    for row in rows:
-        yield " " + " ".join(rat_to_str(x) for x in row) + "\n"
-    yield "end\n"
-
-
-def ext_lines(vp: VPolytope) -> Iterator[str]:
-    """The ``.ext`` block, one line at a time."""
-    return _block_lines("V-representation", ([1, *v] for v in vp.vertices),
-                        len(vp.rows), vp.dim + 1)
-
-
-def ine_lines(dim: int, halfspaces: Iterable[HalfSpace],
-              count: int) -> Iterator[str]:
-    """The ``.ine`` block of ``count`` halfspaces in R^dim, one line at a
-    time; the header states the count before any halfspace is taken."""
-    return _block_lines("H-representation",
-                        ([h.offset, *(-x for x in h.normal)] for h in halfspaces),
-                        count, dim + 1)
+def lemma_lines(records: Iterable[dict], fmt: str) -> Iterator[str]:
+    """Claim records as a JSON list, or one text line each; a family with
+    no instances writes ``[]`` in JSON and nothing in text."""
+    if fmt == "json":
+        return _json_listing([], records)
+    return (f"{r['lemma']} {json.dumps(r['hypothesis'], sort_keys=True)} "
+            f"expected={r['expected']} computed={r['computed']} {r['verdict']}\n"
+            for r in records)

@@ -10,7 +10,8 @@ shares no arithmetic with the other two.
 
 The geometric route builds all |G|^(n-1) vertices and triangulates them,
 which is exponential in n; it runs whatever it is asked.  The command
-line refuses oversized requests before calling in.
+line refuses oversized requests before calling in, and
+``serialize.verify_lines`` writes the result as text or JSON.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .clawpoly import lattice, vertices
 from .cuts import assemble
 from .formulas import degree_rational
 from .groups import Group
-from .serialize import rat_to_str
 from .volume import lattice_volume
 
 FORMULA = "formula"
@@ -58,21 +58,3 @@ def verify_degree(group: Group, n: int,
                   methods: tuple[str, ...] = METHODS) -> VerifyResult:
     values = tuple((m, degree_by_method(group, n, m)) for m in methods)
     return VerifyResult(group, n, values)
-
-
-def verify_text(result: VerifyResult) -> str:
-    lines = [f"group={result.group.name} n={result.n}"]
-    for method, value in result.values:
-        lines.append(f"{method}: {rat_to_str(value)}")
-    lines.append("consistent: " + ("yes" if result.consistent else "NO"))
-    return "\n".join(lines) + "\n"
-
-
-def verify_doc(result: VerifyResult) -> dict:
-    return {
-        "kind": "verify",
-        "group": result.group.name,
-        "n": result.n,
-        "values": {m: rat_to_str(v) for m, v in result.values},
-        "consistent": result.consistent,
-    }

@@ -29,7 +29,7 @@ from clawvol.geometry import (
     vertex_rays,
 )
 from clawvol.groups import Z2, Z3
-from clawvol.serialize import ext_lines, ine_lines, rat_to_str
+from clawvol.serialize import facet_lines, rat_to_str, vertex_lines
 from clawvol.volume import triangulate
 
 
@@ -166,11 +166,12 @@ def hpolytope_to_doc(hp: HPolytope) -> dict:
 
 
 def write_ext(vp: VPolytope) -> str:
-    return "".join(ext_lines(vp))
+    return "".join(vertex_lines(vp, "ext"))
 
 
 def write_ine(hp: HPolytope) -> str:
-    return "".join(ine_lines(hp.dim, hp.halfspaces, len(hp.halfspaces)))
+    return "".join(facet_lines(hp.dim, hp.halfspaces, len(hp.halfspaces),
+                               "ine"))
 
 
 def random_symmetry(group, n: int, rng):

@@ -99,7 +99,7 @@ def test_criterion_05_lemma_suite_zero_refutations(capsys):
         for lemma_id in LEMMA_IDS:
             sizes = (2, 3, 4) if LEMMA_GROUPS[lemma_id] is Z2 else (2, 3)
             for n in sizes:
-                records = run_lemma(lemma_id, n)
+                records = list(run_lemma(lemma_id, n))
                 assert all(r["verdict"] == "confirmed" for r in records)
                 checked += len(records)
         assert checked == 2530  # frozen exhaustive instance total

@@ -6,6 +6,8 @@ import os
 import re
 import subprocess
 import sys
+from collections.abc import Iterator
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -153,6 +155,83 @@ def test_lemma_refuses_n_below_2(runner, lemma_id, n):
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr == f"clawvol: error: usage: n must be >= 2, got {n}\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_lemma_refutations_exit_1(runner, monkeypatch, fmt):
+    check = cuts.check_lemma
+    checked = []
+
+    def refute_second_and_fifth(claim):
+        checked.append(claim)
+        verdict = check(claim)
+        return replace(verdict, confirmed=len(checked) not in (2, 5))
+
+    monkeypatch.setattr(cuts, "check_lemma", refute_second_and_fifth)
+    result = invoke(runner, "lemma", "--lemma", "z2-single-cut-simplex",
+                    "--n", "3", "--format", fmt)
+    assert result.exit_code == 1
+    assert result.stderr == ("clawvol: error: lemma: 2 of 8 instances "
+                             "refuted for z2-single-cut-simplex at n=3\n")
+    if fmt == "json":
+        verdicts = [r["verdict"] for r in json.loads(result.stdout)]
+    else:
+        verdicts = [line.split()[-1] for line in result.stdout.splitlines()]
+    assert verdicts == ["confirmed", "refuted", "confirmed", "confirmed",
+                        "refuted", "confirmed", "confirmed", "confirmed"]
+
+
+class Pieces:
+    """A stdout that keeps each piece written to it."""
+
+    def __init__(self):
+        self.pieces = []
+
+    def write(self, text):
+        self.pieces.append(text)
+
+    def writelines(self, pieces):
+        for piece in pieces:
+            self.write(piece)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_lemma_writes_each_record_before_the_next_check(monkeypatch, fmt):
+    assert isinstance(cuts.run_lemma("z2-single-cut-simplex", 3), Iterator)
+    out = Pieces()
+    check = cuts.check_lemma
+    written_at_check = []
+
+    def counting_check(claim):
+        written_at_check.append(sum(p.count("confirmed") for p in out.pieces))
+        return check(claim)
+
+    monkeypatch.setattr(cuts, "check_lemma", counting_check)
+    monkeypatch.setattr(sys, "stdout", out)
+    main.main(["lemma", "--lemma", "z2-single-cut-simplex", "--n", "3",
+               "--format", fmt], standalone_mode=False)
+    # Claim k is checked only after the records of claims 0..k-1 are out.
+    assert written_at_check == list(range(8))
+
+
+@pytest.mark.parametrize("args", [
+    ("vertices", "--group", "z2", "--n", "1"),
+    ("vertices", "--group", "z9", "--n", "3", "--format", "json"),
+    ("facets", "--group", "z2", "--n", "1", "--format", "ine"),
+    ("facets", "--group", "z3", "--n", "0", "--format", "json"),
+    ("lemma", "--lemma", "z2-single-cut-simplex", "--n", "1"),
+    ("lemma", "--lemma", "z3-double-pair-flat", "--n", "0", "--format", "json"),
+    ("lemma", "--lemma", "z3-single-cut-volume", "--n", "3", "--group", "z2"),
+    ("table", "--group", "z2", "--n", "6..2"),
+    ("table", "--group", "z3", "--n", "x", "--format", "json"),
+], ids=["vertices-n1", "vertices-group", "facets-n1", "facets-n0", "lemma-n1",
+        "lemma-n0", "lemma-group", "table-reversed", "table-bad-range"])
+def test_usage_error_writes_no_file(runner, tmp_path, args):
+    target = tmp_path / "out"
+    result = invoke(runner, *args, "--output", str(target))
+    assert result.exit_code == 2
+    assert result.stderr.startswith("clawvol: error: usage:")
+    assert not target.exists()
 
 
 def test_table_formats(runner):
@@ -410,8 +489,8 @@ def test_streamed_json_matches_whole_document(runner, group, n):
 
 # sha256 of the stdout of each command, which must exit 0.  Output is
 # deterministic, so any change to its bytes fails here: every lemma family
-# at n=2 in both formats, vertices and facets in every format at n=3, and
-# verify's json at n=3.
+# at n=2 in both formats, vertices and facets in every format at n=3,
+# verify in both formats at n=3, and table in every format.
 PINNED_STDOUT_SHA256 = {
     "lemma --lemma z2-single-cut-simplex --n 2 --format text":
         "26a7e01e38d0506117c03742f599e10a1dfd24e0d8b48a1906c857e788c8ff9c",
@@ -507,6 +586,18 @@ PINNED_STDOUT_SHA256 = {
         "f3a22f4398dbdba501226180867918c204e5ae6b3592b7dc83893ade6164dbb3",
     "verify --group z3 --n 3 --format json":
         "6ed59a4c5bdf9d960b9fa599bc6ec939f804837169a772eb958307352de68554",
+    "verify --group z2 --n 3 --format text":
+        "c4f835d1084c5206a417f3316392b77f54c75ecfbebce027202dd6c0893206d9",
+    "verify --group z2xz2 --n 3 --format text":
+        "b208ce27454ebab680c4e75ce3c2ca0d5e877f30d2c86bfb24b7408a642362f3",
+    "verify --group z3 --n 3 --format text":
+        "85fb0fdcd013ea1e1fdff37f68deca3fc900d0d7a07cd6881dc91204b2372460",
+    "table --group z2 --n 2..6 --format csv":
+        "232160e19b14448688645d16ae975db9a6c8db90d65729a53ade4a1548d1380b",
+    "table --group z2 --n 2..6 --format text":
+        "de3d31e0e76f217e8953958e65c14c51b0f4d38acdcb476d9365dd6c79d1edbc",
+    "table --group z2 --n 2..6 --format json":
+        "a66c1d8d3d68e09102564478d4a24ed5a6cf164cd5188be234f1a5f575f2b898",
 }
 
 

@@ -190,7 +190,7 @@ def test_check_lemma_examples():
 
 def test_full_lemma_suite_at_n_2():
     for lemma_id in LEMMA_IDS:
-        records = run_lemma(lemma_id, 2)
+        records = list(run_lemma(lemma_id, 2))
         assert all(r["verdict"] == "confirmed" for r in records)
         for r in records:
             assert r["lemma"] == lemma_id

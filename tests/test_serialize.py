@@ -10,9 +10,9 @@ from clawvol.geometry import HPolytope, HalfSpace, VPolytope
 from clawvol.groups import GROUPS
 from clawvol.serialize import (
     dumps,
-    hpolytope_json,
+    facet_lines,
     rat_to_str,
-    vpolytope_json,
+    vertex_lines,
 )
 from helpers import (
     facets,
@@ -79,9 +79,10 @@ def test_json_pieces_of_empty_lists():
     # json.dumps writes an empty list inline, as [].
     vp = VPolytope(2, ())
     hp = HPolytope(2, ())
-    assert "".join(vpolytope_json(vp)) == dumps(vpolytope_to_doc(vp))
-    assert "".join(hpolytope_json(hp.dim, hp.halfspaces)) == dumps(hpolytope_to_doc(hp))
-    assert '"vertices": []' in "".join(vpolytope_json(vp))
+    assert "".join(vertex_lines(vp, "json")) == dumps(vpolytope_to_doc(vp))
+    assert "".join(facet_lines(hp.dim, hp.halfspaces, 0, "json")) == dumps(
+        hpolytope_to_doc(hp))
+    assert '"vertices": []' in "".join(vertex_lines(vp, "json"))
 
 
 @pytest.mark.parametrize("group,n", CASES, ids=CASE_IDS)
