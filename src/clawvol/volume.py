@@ -13,15 +13,18 @@ The boundary is kept as hull facets, beneath-beyond style (Joswig,
 coplanar boundary simplices; it holds its primitive inward affine
 functional h, stored as one homogeneous row and evaluated against (p, -1),
 a bit, its boundary simplices and the heights measured against it.  A
-boundary simplex is kept as a record (serial, parent, position, base): its
-creation serial, the simplex it was cut from (the coned simplex it is a
-facet of, or the seed), the position of the parent's vertex it omits, and
-its normalized volume in the lattice of the hyperplane.  Its vertex tuple is sliced from the parent only when a
-later point cones it, which most boundary simplices never are.  Every placed
-point holds an incidence mask: the bits of the hull facets that contain it.
-A boundary simplex has its hull facet's functional, so each functional,
-visibility test and new facet is worked out once per hull facet.  Inserting
-a point p:
+boundary simplex is kept as a record (serial, parent, position, base,
+mask): its creation serial, the simplex it was cut from (the coned simplex
+it is a facet of, or the seed), the position of the parent's vertex it
+omits, its normalized volume in the lattice of the hyperplane, and the
+parent's point bitmask.  Its vertex tuple is sliced from the parent only
+when a later point cones it, which most boundary simplices never are, and
+its point bitmask is the parent's with the omitted vertex's bit cleared.
+Every placed point holds an incidence mask: the bits of the hull facets
+that contain it; seed vertex k starts with the bit of every seed facet but
+the one opposite it.  A boundary simplex has its hull facet's functional,
+so each functional, visibility test and new facet is worked out once per
+hull facet.  Inserting a point p:
 
 * p sees the hull facets F with h_F(p) < 0, and with them all their boundary
   simplices.  Each such simplex f, taken in serial order, adds the simplex
@@ -47,12 +50,12 @@ a point p:
   it has measured for as long as it lives, so each is computed once;
 * masks gain bits once per round, at its end.  A new facet's bit goes to
   p and to every vertex of its horizon ridges (the OR of the ridges' point
-  bitmasks); a facet that p extends gives its bit to p only, since the
-  ridge's vertices already have it.  Nothing in the round reads the new
-  bits: ridges are tested only against the facets hidden before p, and p
-  is never a vertex of a simplex coned in its own round.  The visible
-  facets are then dropped, and their bits are cleared from every mask and
-  used again.
+  bitmasks, each read off f's record); a facet that p extends gives its
+  bit to p only, since the ridge's vertices already have it.  Nothing in
+  the round reads the new bits: ridges are tested only against the facets
+  hidden before p, and p is never a vertex of a simplex coned in its own
+  round.  The visible facets are then dropped, and their bits are cleared
+  from every mask and used again.
 
 Every boundary simplex gets a serial when it is made, so the simplices come
 out in the same order as from a scan of the boundary in creation order.
@@ -103,14 +106,16 @@ class _HullFacet:
     product with ``(x, -1)`` is zero on the facet and positive inside.
     ``bit`` is the index of the facet's bit in the points' incidence masks;
     a point has it from the end of the round that made or extended the
-    facet with the point as a vertex.  ``simplices`` lists the boundary
-    simplices that make up the facet as ``(serial, parent, omit, base)`` in
-    serial order: the simplex's sorted vertex indices are ``parent`` with
-    position ``omit`` left out, and ``base`` is its normalized volume in the
-    lattice of the hyperplane.  ``heights`` maps a point index v to the
-    value of ``h`` at v, for each v that was the vertex off a ridge the
-    facet gained a simplex across; it lives as long as the facet, since
-    ``h`` never changes.
+    facet with the point as a vertex; the seed's vertices have the bits of
+    the seed facets through them from the start.  ``simplices`` lists the
+    boundary simplices that make up the facet as
+    ``(serial, parent, omit, base, mask)`` in serial order: the simplex's
+    sorted vertex indices are ``parent`` with position ``omit`` left out,
+    ``base`` is its normalized volume in the lattice of the hyperplane, and
+    ``mask`` has bit v set for each vertex v of ``parent``.  ``heights``
+    maps a point index v to the value of ``h`` at v, for each v that was
+    the vertex off a ridge the facet gained a simplex across; it lives as
+    long as the facet, since ``h`` never changes.
     """
 
     __slots__ = ("h", "bit", "simplices", "heights")
@@ -144,9 +149,8 @@ def triangulate(vp: VPolytope) -> Triangulation:
     # M with the seed's rows (1, v), so its row k is the affine functional
     # of the seed facet opposite vertex k: zero on that facet, |det M| at
     # vertex k.  The gcd divided out of it is the facet's base volume.
-    rows = [[1] * count, *map(list, zip(*ipts))]
-    for r, row in enumerate(rows):
-        row.extend(int(c == r) for c in range(d + 1))
+    rows = [[*col, *(0,) * r, 1, *(0,) * (d - r)]
+            for r, col in enumerate(((1,) * count, *zip(*ipts)))]
     pivots, last = bareiss(rows)
     if pivots[-1] >= count:
         return Triangulation(vp, (), Fraction(0))
@@ -158,36 +162,48 @@ def triangulate(vp: VPolytope) -> Triangulation:
     simplices = [seed]
     # The live hull facets by bit index, and for each point the bits of the
     # live hull facets through it.  Bits of dropped facets are used again,
-    # lowest first, so the masks stay as short as the hull is large.
+    # lowest first, so the masks stay as short as the hull is large.  Seed
+    # vertex k lies on every seed facet but the one opposite it.
     hull: dict[int, _HullFacet] = {}
     incidence = [0] * count
-    for k in range(d + 1):
-        adj = [sign * v for v in rows[k][count:]]
-        g = math.gcd(*adj)
-        h = tuple(v // g for v in (*adj[1:], -adj[0]))
-        hull[k] = _HullFacet(h, k, [(k, seed, k, g)])
-        for v in seed[:k] + seed[k + 1:]:
-            incidence[v] |= 1 << k
-    serial = d + 1
     live = (1 << (d + 1)) - 1
+    seed_bits = 0
+    for v in seed:
+        seed_bits |= 1 << v
+    for k, v in enumerate(seed):
+        row = rows[k][count:]
+        g = math.gcd(*row)
+        unit = sign * g
+        h = (*[a // unit for a in row[1:]], -row[0] // unit)
+        hull[k] = _HullFacet(h, k, [(k, seed, k, g, seed_bits)])
+        incidence[v] = live ^ 1 << k
+    serial = d + 1
+    seeded = set(seed)
 
     for i in range(count):
-        if i in seed:
+        if i in seeded:
             continue
         p = hpts[i]
+        # Split the live hull facets by the sign of h(p) in one pass: the
+        # visible ones, the hidden ones through p, keyed by 1 << bit as a
+        # ridge's ``other`` below is (p extends them), and the visible bits.
         value = {k: sum(map(mul, f.h, p)) for k, f in hull.items()}
-        visible = [(hull.pop(k), -v) for k, v in value.items() if v < 0]
+        visible = []
+        on = {}
+        gone = 0
+        for k, v in value.items():
+            if v < 0:
+                visible.append((hull.pop(k), -v))
+                gone |= 1 << k
+            elif not v:
+                on[1 << k] = hull[k]
         if not visible:
             raise AssertionError("the new point sees no hull facet")
-        # The hidden facets through p, keyed by 1 << bit as a ridge's
-        # ``other`` below is: p extends them.
-        on = {1 << k: hull[k] for k, v in value.items() if not v}
-        gone = sum(1 << f.bit for f, _ in visible)
         hidden = live ^ gone
         # Every boundary simplex of a visible facet is visible, and they
         # are coned to p in serial order.  ``depth`` is -h_F(p) > 0.
-        todo = [(s, parent, omit, base, f, depth)
-                for f, depth in visible for s, parent, omit, base in f.simplices]
+        todo = [(*record, f, depth)
+                for f, depth in visible for record in f.simplices]
         todo.sort(key=itemgetter(0))
         # The new hull facets by the mask bits of their (visible, hidden)
         # pair: most new simplices share theirs with an earlier one of the
@@ -197,27 +213,30 @@ def triangulate(vp: VPolytope) -> Triangulation:
         made: dict[int, _HullFacet] = {}
         spans: dict[int, int] = {}
         reach = 0
-        for _, parent, omit, base, f, depth in todo:
+        for _, parent, omit, base, mask, f, depth in todo:
             key = parent[:omit] + parent[omit + 1:]
+            key_bits = mask ^ 1 << parent[omit]
             vol = depth * base
             total += vol
             q = bisect(key, i)
             full = key[:q] + (i,) + key[q:]
             simplices.append(full)
+            full_bits = key_bits | 1 << i
             # The hull facets through the ridge that omits key[j] have
             # their bits set in the masks of all vertices but key[j]: the
             # prefix AND ``acc``, carried from hidden, times the suffix AND
-            # ``suffix[~j]``.  Starting from the facets hidden before p
-            # leaves out the visible ones and those made in this round.
+            # ``after``.  Starting from the facets hidden before p leaves
+            # out the visible ones and those made in this round.
             acc = -1
             suffix = [acc]
             for v in key[:0:-1]:
                 acc &= incidence[v]
                 suffix.append(acc)
             acc = hidden
-            points = 0
-            for j, v in enumerate(key):
-                other = acc & suffix[~j]
+            j = -1
+            for v, after in zip(key, reversed(suffix)):
+                j += 1
+                other = acc & after
                 acc &= incidence[v]
                 if not other:
                     continue
@@ -238,10 +257,7 @@ def triangulate(vp: VPolytope) -> Triangulation:
                         live |= 1 << bit
                         target = made[pair] = _HullFacet(h, bit, [])
                         spans[pair] = 0
-                    if not points:  # key's point bitmask, on first use
-                        for u in key:
-                            points |= 1 << u
-                    spans[pair] |= points ^ (1 << v)
+                    spans[pair] |= key_bits ^ 1 << v
                 else:
                     reach |= other
                 heights = target.heights
@@ -250,7 +266,9 @@ def triangulate(vp: VPolytope) -> Triangulation:
                     height = heights[v] = sum(map(mul, target.h, hpts[v]))
                 if height <= 0 or vol % height:
                     raise AssertionError("degenerate simplex in triangulation")
-                target.simplices.append((serial, full, j if j < q else j + 1, vol // height))
+                omitted = j if j < q else j + 1
+                target.simplices.append(
+                    (serial, full, omitted, vol // height, full_bits))
                 serial += 1
         live ^= gone
         incidence = [m & live for m in incidence]

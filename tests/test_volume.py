@@ -315,6 +315,34 @@ def test_every_hull_facet_has_its_own_hyperplane(monkeypatch):
         assert len(set(rows)) == len(rows)
 
 
+def test_every_boundary_record_carries_its_parents_point_bitmask(monkeypatch):
+    # A new facet's horizon vertices are read off the record's mask, so a
+    # wrong mask gives a vertex a wrong incidence bit, which only a later
+    # ridge test through that vertex would show.
+    records = []
+
+    class Listed(list):
+        def append(self, record):
+            records.append(record)
+            super().append(record)
+
+    class Recorded(volume._HullFacet):
+        __slots__ = ()
+
+        def __init__(self, h, bit, simplices):
+            records.extend(simplices)
+            super().__init__(h, bit, Listed(simplices))
+
+    monkeypatch.setattr(volume, "_HullFacet", Recorded)
+    claim = lemma_claims(CROSS_PAIR, 3)[0]
+    for vp in (cube(4), vertices(GROUPS["z2"], 6), piece_vertices(claim.spec)):
+        records.clear()
+        t = triangulate(vp)
+        assert len(records) > vp.dim + 1  # more than the seed facets
+        for _, parent, _, _, mask in records:
+            assert mask == sum(1 << v for v in parent)
+
+
 # Each of triangulate's three checks, reached on its own.  Exact arithmetic
 # on distinct points never fails them, so each test breaks one input or one
 # step from outside the loop.
