@@ -25,7 +25,10 @@ of instances in closed form.  ``lemma_claims`` turns the instances into
 Cuts are shared within a claim list: ``lemma_claims`` builds one
 ``OddSubsetCut`` per distinct (A, channel), and each cut builds its
 halfspaces once, so ``cut_piece`` only appends prebuilt halfspaces to the
-shared ambient polytope.  Every check still enumerates its own piece.
+shared ambient polytope.  Every check still runs the double description
+on its own piece.  A volume claim reads the vertex rows of
+``vertex_enumeration``; the flat, contained and integral claims read the
+primitive rays (y_0, y) of ``vertex_rays`` and build no ``VPolytope``.
 
 Every check runs at any n it is given.  The cost of a volume claim grows
 with the dimension (|G|-1)n, and the size of a claim list with the
@@ -67,7 +70,13 @@ from .formulas import (
     cut_formula,
     pow2_quotient,
 )
-from .geometry import HPolytope, VPolytope, affine_dim, vertex_enumeration
+from .geometry import (
+    HPolytope,
+    VPolytope,
+    bareiss,
+    vertex_enumeration,
+    vertex_rays,
+)
 from .groups import Group, Z2, Z2xZ2, Z3
 from .volume import lattice_volume
 
@@ -354,38 +363,47 @@ def lemma_claims(lemma_id: str, n: int) -> tuple[LemmaClaim, ...]:
 
 
 def check_lemma(claim: LemmaClaim) -> Verdict:
-    """Decide one claim against the exact geometry oracle."""
+    """Decide one claim against the exact geometry oracle.
+
+    A volume claim triangulates the piece's vertex rows.  The other kinds
+    read the double description's primitive rays (y_0, y), y_0 > 0, one per
+    vertex y / y_0, and build no ``VPolytope``; only an integral refutation
+    enumerates the points, to name its first fractional vertex.
+    """
     spec = claim.spec
     if claim.kind == VOLUME:
         computed = piece_volume(spec)
         return Verdict(computed == claim.expected,
                        str(claim.expected), str(computed))
 
-    verts = piece_vertices(spec)
+    rays = vertex_rays(cut_piece(spec))
     if claim.kind == FLAT:
-        if verts.is_empty():
+        if not rays:
             return Verdict(True, "flat", "empty")
-        ad = affine_dim(verts.rows)
+        # Rows (y_0, y) have the rank of rows (1, y / y_0), which is one
+        # more than the affine dimension of the vertices.
+        ad = len(bareiss(list(map(list, rays)))[0]) - 1
         return Verdict(ad < ambient_dim(spec.group, spec.n), "flat", f"dim={ad}")
 
     if claim.kind == CONTAINED_EXISTS:
         other = 2 if spec.cuts[0].channel == 1 else 1
-        if verts.is_empty():
+        if not rays:
             return Verdict(True, "contained", "empty")
-        # <normal, x> <= offset at x = row / scale, cleared of the scale.
+        # <normal, y / y_0> <= offset, cleared of y_0 > 0.
         for c, target in z3_minus_halfspaces(spec.n, other):
-            bound = target.offset * verts.scale
-            if all(sum(map(mul, target.normal, r)) <= bound for r in verts.rows):
+            row = (-target.offset, *target.normal)
+            if all(sum(map(mul, row, r)) <= 0 for r in rays):
                 return Verdict(True, "contained",
                                f"C={list(c)} channel={other}")
         return Verdict(False, "contained", "no containing cut found")
 
     if claim.kind == INTEGRAL_VERTICES:
-        if verts.scale != 1:
-            bad = next(v for v in verts.vertices
-                       if any(x.denominator != 1 for x in v))
-            return Verdict(False, "integral", f"fractional vertex {bad}")
-        return Verdict(True, "integral", f"{len(verts.rows)} integral vertices")
+        # A primitive ray stands for an integral vertex exactly when y_0 = 1.
+        if all(r[0] == 1 for r in rays):
+            return Verdict(True, "integral", f"{len(rays)} integral vertices")
+        bad = next(v for v in piece_vertices(spec).vertices
+                   if any(x.denominator != 1 for x in v))
+        return Verdict(False, "integral", f"fractional vertex {bad}")
 
     raise ValueError(f"unknown claim kind {claim.kind!r}")
 

@@ -3,7 +3,8 @@ point-in-halfspace tests, V/H agreement, vertex enumeration through
 ``VPolytope``'s own normalization, the two ways of building a polytope
 triangulated side by side, which cuts are facets, the facet system built
 apart from ``clawpoly``'s walk, whole JSON documents and cdd-style blocks,
-the triple-lemma count, and random symmetries of the claw polytope."""
+the triple-lemma count, every volume claim at criterion-05 sizes, and
+random symmetries of the claw polytope."""
 
 import itertools
 import math
@@ -19,6 +20,7 @@ from clawvol.clawpoly import (
     subset_cut,
     tuple_cut,
 )
+from clawvol.cuts import LEMMA_GROUPS, LEMMA_IDS, VOLUME, lemma_claims
 from clawvol.geometry import (
     HalfSpace,
     HPolytope,
@@ -141,6 +143,16 @@ def facets(group, n: int) -> HPolytope:
     ``facet_cuts``, with the ambient polytope as its base."""
     return ambient(group, n).with_halfspaces(
         cut_halfspace(c, PLUS) for c in facet_cuts(group, n))
+
+
+def criterion_05_volume_claims():
+    """Every volume claim at criterion-05 sizes: 763 of them."""
+    for lemma_id in LEMMA_IDS:
+        sizes = (2, 3, 4) if LEMMA_GROUPS[lemma_id] is Z2 else (2, 3)
+        for n in sizes:
+            for claim in lemma_claims(lemma_id, n):
+                if claim.kind == VOLUME:
+                    yield claim
 
 
 def vpolytope_to_doc(vp: VPolytope) -> dict:

@@ -489,8 +489,9 @@ def test_streamed_json_matches_whole_document(runner, group, n):
 
 # sha256 of the stdout of each command, which must exit 0.  Output is
 # deterministic, so any change to its bytes fails here: every lemma family
-# at n=2 in both formats, vertices and facets in every format at n=3,
-# verify in both formats at n=3, and table in every format.
+# at n=2 in both formats, every non-volume family at n=3 in text (and the
+# z2 pairs at n=4), vertices and facets in every format at n=3, verify in
+# both formats at n=3, and table in every format.
 PINNED_STDOUT_SHA256 = {
     "lemma --lemma z2-single-cut-simplex --n 2 --format text":
         "26a7e01e38d0506117c03742f599e10a1dfd24e0d8b48a1906c857e788c8ff9c",
@@ -544,6 +545,22 @@ PINNED_STDOUT_SHA256 = {
         "48d535c2736205002710d3cdb57770b20030c3e2c22bbd05fd0ab575b78d99ae",
     "lemma --lemma z3-cross-channel-pair-volume --n 2 --format json":
         "6cc9a6bbcdc5f5a6c4d45e701851a58d847f3fb11242c6148e65ae04e5060822",
+    "lemma --lemma z2-same-parity-pair-flat --n 3 --format text":
+        "e08be766aaae6573d8d3fd7ef2f0e7eb59e9921b1facc8c409a403be9b82cb66",
+    "lemma --lemma z2-same-parity-pair-flat --n 4 --format text":
+        "f06f65ab9570df91560d408c02950c192b43478a0202e677cceb18f89c12b3d9",
+    "lemma --lemma z2z2-same-channel-pair-flat --n 3 --format text":
+        "8bc248809d0d30abb7983ad014a9477b9bfd28589a294c609f54230b1c520024",
+    "lemma --lemma z2z2-cut-lattice-points --n 3 --format text":
+        "1e615867cdd9940f0a650eebd0b96d6fd86887db0ceee62cdaf9fbbecbb4a8c9",
+    "lemma --lemma z3-far-same-channel-flat --n 3 --format text":
+        "87186eff6fa68ff02edc898b1ffb4efcb66911388304ae18844b22e26a7e6bbc",
+    "lemma --lemma z3-near-same-channel-contained --n 3 --format text":
+        "8735f2148b340fd7b65a227d5e25685c51a8674fc76d1e40ec26b8717529f6de",
+    "lemma --lemma z3-cross-channel-flat --n 3 --format text":
+        "7bfea019e78167fcfe48e40b0d679a0a1ea8cee9bd5fc85f5129c852826fd67d",
+    "lemma --lemma z3-double-pair-flat --n 3 --format text":
+        "3d80fe6dd4e86d439e904405b5b566b95f71e52d0e218db2d93fcbd488e91900",
     "vertices --group z2 --n 3 --format text":
         "46601f988ef00c7481c78ee97386dfbbf489863c54efef415222ef603a0eb342",
     "vertices --group z2 --n 3 --format json":

@@ -36,12 +36,18 @@ from clawvol.cuts import (
     run_lemma,
 )
 from clawvol.formulas import degree_rational
-from clawvol.geometry import HalfSpace, affine_dim, vertex_enumeration
+from clawvol.geometry import (
+    HalfSpace,
+    affine_dim,
+    vertex_enumeration,
+    vertex_rays,
+)
 from clawvol.groups import Z2, Z2xZ2, Z3
 from clawvol.volume import lattice_volume, triangulate
 from certify import certify
 from helpers import (
     count_singleton_delta_triples,
+    criterion_05_volume_claims,
     delta_mask,
     facet_cuts,
     holds,
@@ -227,16 +233,6 @@ def test_first_volume_instance_beyond_criterion_05(lemma_id, n, computed):
     assert verdict == Verdict(True, computed, computed)
 
 
-def criterion_05_volume_claims():
-    """Every volume claim at criterion-05 sizes: 763 of them."""
-    for lemma_id in LEMMA_IDS:
-        sizes = (2, 3, 4) if LEMMA_GROUPS[lemma_id] is Z2 else (2, 3)
-        for n in sizes:
-            for claim in lemma_claims(lemma_id, n):
-                if claim.kind == cuts.VOLUME:
-                    yield claim
-
-
 def volume_pieces():
     """Every volume-claim piece at criterion-05 sizes, then instance 0 of
     each family and size in ``BEYOND_CRITERION_05``."""
@@ -329,13 +325,28 @@ def points_verdict(claim):
     return Verdict(True, "integral", f"{len(points)} integral vertices")
 
 
+# The seven non-volume families at the n the lemma-flat benchmark runs them:
+# 1700 claims, 1598 of them flatness claims.
+FLAT_BENCHMARK_FAMILIES = {
+    "z2-same-parity-pair-flat": 4,
+    "z2z2-same-channel-pair-flat": 3,
+    "z2z2-cut-lattice-points": 3,
+    "z3-far-same-channel-flat": 3,
+    "z3-near-same-channel-contained": 3,
+    "z3-cross-channel-flat": 3,
+    "z3-double-pair-flat": 3,
+}
+
+
 def test_claims_on_integer_rows_match_their_points_versions():
-    # The contained family's pieces have half-integral vertices; the volume
-    # pieces, asked the other kinds of claim, are refuted as often as not.
-    claims = [*lemma_claims("z3-near-same-channel-contained", 3),
-              *lemma_claims("z3-near-same-channel-contained", 4),
-              *lemma_claims("z2z2-cut-lattice-points", 3),
-              *lemma_claims("z3-far-same-channel-flat", 3)]
+    # Every claim of the lemma-flat benchmark; the contained family's pieces
+    # have half-integral vertices; the volume pieces, asked the other kinds
+    # of claim, are refuted as often as not.
+    claims = [claim for lemma_id, n in FLAT_BENCHMARK_FAMILIES.items()
+              for claim in lemma_claims(lemma_id, n)]
+    assert len(claims) == 1700
+    assert sum(claim.kind == cuts.FLAT for claim in claims) == 1598
+    claims += lemma_claims("z3-near-same-channel-contained", 4)
     for lemma_id in ("z3-single-cut-volume", "z3-cross-channel-pair-volume",
                      "z2z2-triple-channel-volume"):
         for claim in lemma_claims(lemma_id, 3):
@@ -413,17 +424,44 @@ def test_a_claim_list_builds_each_halfspace_once(monkeypatch):
 
     def enumerating(hp):
         pieces.append(hp)
-        return vertex_enumeration(hp)
+        return vertex_rays(hp)
 
     monkeypatch.setattr(clawpoly, "s_coefficients", counting)
-    monkeypatch.setattr(cuts, "vertex_enumeration", enumerating)
+    monkeypatch.setattr(cuts, "vertex_rays", enumerating)
     claims = lemma_claims("z3-double-pair-flat", 3)
     assert all(check_lemma(claim).confirmed for claim in claims)
     # Only minus sides: one call per distinct cut, however many claims.
     distinct = {c for claim in claims for c in claim.spec.cuts}
     assert dict(calls) == dict.fromkeys(distinct, 1)
     assert len(claims) == 1296 and len(distinct) == 18
-    # Every claim still enumerates its own piece.
+    # Every claim still runs one double description on its own piece.
     assert len(pieces) == len(claims)
     assert [p.halfspaces for p in pieces] == [
         cut_piece(c.spec).halfspaces for c in claims]
+
+
+def test_flat_contained_and_integral_claims_build_no_vertex_set(monkeypatch):
+    # These kinds decide on the double description's rays; only an integral
+    # refutation enumerates the points, to name a fractional vertex.
+    built = []
+
+    def recording(hp):
+        built.append(hp)
+        return vertex_enumeration(hp)
+
+    monkeypatch.setattr(cuts, "vertex_enumeration", recording)
+    checked = 0
+    for lemma_id in LEMMA_IDS:
+        for claim in lemma_claims(lemma_id, 3):
+            if claim.kind != cuts.VOLUME:
+                assert check_lemma(claim).confirmed
+                checked += 1
+    # The lemma-flat benchmark's claims, with the z2 pairs at n = 3.
+    assert checked == 1656 and not built
+    # A z3 single cut piece has half-integral vertices.
+    volume = lemma_claims("z3-single-cut-volume", 3)[0]
+    verdict = check_lemma(replace(volume, kind=cuts.INTEGRAL_VERTICES,
+                                  expected=None))
+    assert not verdict.confirmed
+    assert verdict.computed.startswith("fractional vertex ")
+    assert built == [cut_piece(volume.spec)]

@@ -24,6 +24,7 @@ from clawvol.geometry import (
     bareiss,
     lattice_index,
     vertex_enumeration,
+    vertex_rays,
 )
 from clawvol.geometry import (
     _cone_rows,
@@ -35,6 +36,7 @@ from clawvol.geometry import (
 from clawvol.serialize import dumps
 from helpers import (
     contains,
+    criterion_05_volume_claims,
     flipped,
     holds,
     normalized_vertices,
@@ -421,6 +423,32 @@ def test_vertex_enumeration_stores_what_vpolytope_would(hp):
 @given(boxed_polytopes())
 def test_integer_rows_and_points_triangulate_alike(hp):
     assert paths_agree(hp)
+
+
+def integral_rule_holds(hp: HPolytope) -> bool:
+    """One primitive ray per vertex, and the rays with y_0 = 1 are exactly
+    the integral vertices, as an integral-vertices claim reads them."""
+    rays = vertex_rays(hp)
+    vp = vertex_enumeration(hp)
+    integral = {p for p in vp.vertices if all(x.denominator == 1 for x in p)}
+    return (len(rays) == len(vp.rows)
+            and {r[1:] for r in rays if r[0] == 1} == integral)
+
+
+@settings(max_examples=100, deadline=None)
+@given(boxed_polytopes())
+def test_rays_with_y0_one_are_the_integral_vertices(hp):
+    assert integral_rule_holds(hp)
+
+
+def test_rays_with_y0_one_are_the_integral_vertices_of_every_volume_piece():
+    fractional = 0
+    for claim in criterion_05_volume_claims():
+        hp = cut_piece(claim.spec)
+        assert integral_rule_holds(hp)
+        fractional += any(r[0] > 1 for r in vertex_rays(hp))
+    # Both outcomes of the rule occur among the 763 pieces.
+    assert 0 < fractional < 763
 
 
 def convex_combination(points, weights):
