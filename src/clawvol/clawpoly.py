@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .geometry import HalfSpace, HPolytope, LatticeBasis, VPolytope
+from .geometry import HalfSpace, HPolytope, LatticeBasis, VPolytope, _ints
 from .groups import Group, Z2, Z2xZ2, Z3, zero_sum_tuples
 
 # The two fixed families of 2-vectors defining the Z3 cut functionals:
@@ -68,8 +68,9 @@ class OddSubsetCut:
 
     def __post_init__(self):
         _check_n(self.n, 1)
-        subset = tuple(int(v) for v in self.subset)
+        subset, (channel,) = _ints(self.subset), _ints((self.channel,))
         object.__setattr__(self, "subset", subset)
+        object.__setattr__(self, "channel", channel)
         if self.group is Z3:
             if self.channel not in (1, 2):
                 raise ValueError(f"Z3 channel must be 1 or 2, got {self.channel}")
@@ -116,7 +117,8 @@ def subset_cut(group: Group, n: int, positions: Iterable[int],
     """Cut for a position set A, for the groups indexed by subsets of [n]."""
     if group is Z3:
         raise ValueError("Z3 cuts are indexed by digit tuples; use tuple_cut")
-    return OddSubsetCut(group, n, tuple(sorted(set(positions))), channel)
+    return OddSubsetCut(group, n, tuple(sorted(set(_ints([*positions])))),
+                        channel)
 
 
 def tuple_cut(n: int, digits: Iterable[int], channel: int) -> OddSubsetCut:

@@ -1,7 +1,11 @@
-"""Exact polyhedral geometry over the rationals.
+"""Exact polyhedral geometry on integer input.
 
-Everything in this module is computed with integer or ``fractions.Fraction``
-arithmetic; no floats are ever produced, and the constructors refuse them.
+Every constructor and ``affine_dim`` take int entries only (a ``bool``
+counts as 0 or 1); a float, a ``Fraction``, a string or any other type is
+refused with a ``ValueError`` naming it.  Results are computed with integer
+arithmetic and no floats are ever produced; the one output with
+``Fraction`` entries is the non-integral points a ``VPolytope`` reads back
+from its rows.
 The central algorithm is a double description vertex enumerator working on
 integer homogeneous coordinates, which turns a halfspace description into
 the exact vertex set of a bounded polyhedron and reliably distinguishes
@@ -15,9 +19,9 @@ and kept on the base, and processes only the added rows.
 
 Conventions:
 
-* a point is given as a tuple of exact rationals, each coordinate an
-  ``int`` or a ``Fraction`` (Python compares, hashes and sorts ``1`` and
-  ``Fraction(1)`` as the same value);
+* a point given to a constructor or to ``affine_dim`` is a sequence of
+  ints; a point read back from ``VPolytope.vertices`` is a tuple of ints,
+  or of ``Fraction``s when it is not integral;
 * a halfspace is ``{x : <normal, x> <= offset}``, stored as the primitive
   integer row ``(normal, offset)``;
 * a ``VPolytope`` is stored only as integer rows: its distinct points
@@ -48,11 +52,13 @@ class RankDeficientError(GeometryError):
     """Generators fail to span the ambient space."""
 
 
-def _exact(v):
-    """``v`` itself when it is an int or a ``Fraction``; refuse anything else."""
-    if isinstance(v, (int, Fraction)):
-        return v
-    raise ValueError(f"expected int or Fraction, got {type(v).__name__}")
+def _ints(values: Sequence) -> tuple[int, ...]:
+    """``values`` as a tuple of ints, a ``bool`` as 0 or 1; refuse any entry
+    of another type, naming it."""
+    for v in values:
+        if not isinstance(v, int):
+            raise ValueError(f"expected int, got {type(v).__name__}")
+    return tuple(map(int, values))
 
 
 def _check_length(point: Sequence, dim: int) -> None:
@@ -69,20 +75,13 @@ def _primitive(vec: Sequence[int]) -> tuple[int, ...]:
     return tuple(v // g for v in vec)
 
 
-def _scaled_integers(values: Sequence[Fraction]) -> tuple[int, ...]:
-    """Clear denominators of a rational vector, then reduce to primitive."""
-    lcm = math.lcm(*(v.denominator for v in values))
-    return _primitive([v.numerator * (lcm // v.denominator) for v in values])
-
-
 @dataclass(frozen=True)
 class HalfSpace:
     """Closed halfspace ``{x : <normal, x> <= offset}``.
 
-    Input is reduced once to the primitive integer row, sign kept, so
-    ``normal`` and ``offset`` are ints and a positive rescaling of a
-    halfspace compares equal to it.  An all-int row only needs its gcd
-    divided out; a rational one is scaled first.
+    ``normal`` and ``offset`` take ints only.  The row is reduced once to
+    its primitive form, sign kept, so a positive integer multiple of a
+    halfspace compares equal to it.
     """
 
     normal: tuple[int, ...]
@@ -90,10 +89,9 @@ class HalfSpace:
 
     def __post_init__(self):
         row = (*self.normal, self.offset)
-        if all(type(v) is int for v in row):
-            row = _primitive(row)
-        else:
-            row = _scaled_integers([*map(_exact, row)])
+        if not all(type(v) is int for v in row):
+            row = _ints(row)
+        row = _primitive(row)
         object.__setattr__(self, "normal", row[:-1])
         object.__setattr__(self, "offset", row[-1])
 
@@ -144,7 +142,8 @@ class VPolytope:
     stored, and equality and hashing use only ``dim``, ``scale`` and
     ``rows``.  The points are not forced to be extreme.
 
-    ``VPolytope(dim, points)`` parses rational points into that form;
+    ``VPolytope(dim, points)`` takes points with int entries and stores
+    them at scale 1; only ``vertex_enumeration`` makes a larger scale.
     ``vertices`` reads the points back from the rows, built on first read:
     the rows themselves at scale 1, otherwise an int tuple for each
     integral point and ``Fraction``s for the others.
@@ -157,13 +156,11 @@ class VPolytope:
                                               repr=False)
 
     def __init__(self, dim: int, vertices: Iterable[Sequence]):
-        points = [tuple(map(_exact, p)) for p in vertices]
-        for p in points:
+        rows = set()
+        for p in vertices:
             _check_length(p, dim)
-        scale = math.lcm(*(v.denominator for p in points for v in p))
-        rows = {tuple(v.numerator * (scale // v.denominator) for v in p)
-                for p in points}
-        self._store(dim, scale, tuple(sorted(rows)))
+            rows.add(_ints(p))
+        self._store(dim, 1, tuple(sorted(rows)))
 
     @classmethod
     def _from_rows(cls, dim: int, scale: int,
@@ -414,15 +411,12 @@ def bareiss(rows: list[list[int]]) -> tuple[list[int], int]:
 def affine_dim(points: Sequence[Sequence]) -> int:
     """Dimension of the affine hull: -1 for no points, 0 for one point.
 
-    The rank of the rows ``(1, p)``, each scaled to primitive integers, is
-    one more than the affine dimension.  A row of ints is primitive already.
-    The points must all have the same length.
+    The rank of the rows ``(1, p)`` is one more than the affine dimension.
+    The points must all have the same length and int entries.
     """
     for p in points[1:]:
         _check_length(p, len(points[0]))
-    rows = [[1, *p] if all(type(v) is int for v in p)
-            else list(_scaled_integers((1, *map(_exact, p)))) for p in points]
-    return len(bareiss(rows)[0]) - 1
+    return len(bareiss([[1, *_ints(p)] for p in points])[0]) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +425,7 @@ def affine_dim(points: Sequence[Sequence]) -> int:
 
 @dataclass(frozen=True)
 class LatticeBasis:
-    """A basis (rows, integer entries) of a sublattice of Z^dim: dim rows."""
+    """A basis of a sublattice of Z^dim: dim rows of dim ints each."""
 
     dim: int
     generators: tuple[tuple[int, ...], ...]
@@ -440,18 +434,12 @@ class LatticeBasis:
         if len(self.generators) != self.dim:
             raise ValueError(f"a basis of Z^{self.dim} needs {self.dim} rows, "
                              f"got {len(self.generators)}")
-        gens = []
         for row in self.generators:
             if len(row) != self.dim:
                 raise ValueError(
                     f"generator of length {len(row)} does not match Z^{self.dim}")
-            clean = []
-            for v in map(_exact, row):
-                if v.denominator != 1:
-                    raise ValueError("lattice generators must be integral")
-                clean.append(int(v))
-            gens.append(tuple(clean))
-        object.__setattr__(self, "generators", tuple(gens))
+        object.__setattr__(self, "generators",
+                           tuple(map(_ints, self.generators)))
 
 
 def lattice_index(basis: LatticeBasis) -> int:

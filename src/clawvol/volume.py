@@ -298,8 +298,6 @@ def lattice_volume(vp: VPolytope, basis: LatticeBasis | None = None) -> Fraction
     if basis is not None and basis.dim != vp.dim:
         raise ValueError(f"a basis of Z^{basis.dim} does not measure a polytope "
                          f"in R^{vp.dim}")
-    if vp.is_empty():
-        return Fraction(0)
     vol = triangulation_lattice_volume(triangulate(vp))
     if basis is None:
         return vol

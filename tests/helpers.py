@@ -1,6 +1,7 @@
-"""Checks that only the tests use: halfspace evaluation and exact
-point-in-halfspace tests, V/H agreement, vertex enumeration through
-``VPolytope``'s own normalization, the two ways of building a polytope
+"""Checks that only the tests use: rational points scaled to integer rows,
+a V-polytope and a halfspace built from rational input, halfspace
+evaluation and exact point-in-halfspace tests, V/H agreement, vertex
+enumeration through ``rational_polytope``, the two ways of building a polytope
 triangulated side by side, which cuts are facets, the facet system built
 apart from ``clawpoly``'s walk, whole JSON documents and cdd-style blocks,
 the triple-lemma count, every volume claim at criterion-05 sizes, and
@@ -26,7 +27,6 @@ from clawvol.geometry import (
     HPolytope,
     VPolytope,
     _check_length,
-    _exact,
     vertex_enumeration,
     vertex_rays,
 )
@@ -38,12 +38,35 @@ from clawvol.volume import triangulate
 def integer_point(point: Sequence) -> tuple[Sequence[int], int]:
     """``(d * point, d)`` with d the lcm of the point's denominators.
 
-    An all-int point is its own scaled form, with d = 1; a float is refused.
+    An all-int point is its own scaled form, with d = 1.  Entries must be
+    ints or ``Fraction``s; any other type, a float included, is refused.
     """
     if all(type(v) is int for v in point):
         return point, 1
-    d = math.lcm(*(_exact(v).denominator for v in point))
+    for v in point:
+        if not isinstance(v, (int, Fraction)):
+            raise ValueError(f"expected int or Fraction, got {type(v).__name__}")
+    d = math.lcm(*(v.denominator for v in point))
     return [v.numerator * d // v.denominator for v in point], d
+
+
+def rational_polytope(dim: int, points: Sequence[Sequence]) -> VPolytope:
+    """The ``VPolytope`` of points with int or ``Fraction`` entries: its
+    rows are the distinct points times ``scale``, the lcm of all their
+    denominators, lex-sorted."""
+    for p in points:
+        _check_length(p, dim)
+    scaled = [integer_point(p) for p in points]
+    scale = math.lcm(*(d for _, d in scaled))
+    return VPolytope._from_rows(dim, scale, tuple(sorted(
+        {tuple(v * (scale // d) for v in row) for row, d in scaled})))
+
+
+def rational_halfspace(normal: Sequence, offset) -> HalfSpace:
+    """``{x : <normal, x> <= offset}`` for int or ``Fraction`` entries, as
+    the ``HalfSpace`` of the row times the lcm of its denominators."""
+    row, _ = integer_point((*normal, offset))
+    return HalfSpace(tuple(row[:-1]), row[-1])
 
 
 def value(hs: HalfSpace, point: Sequence):
@@ -88,9 +111,9 @@ def vh_consistent(vp: VPolytope, hp: HPolytope) -> bool:
 
 def normalized_vertices(hp: HPolytope) -> VPolytope:
     """Reference for ``vertex_enumeration``: each ray's point y / y_0 (int
-    coordinates when y_0 = 1), deduplicated and sorted by ``VPolytope``'s
-    own normalization."""
-    return VPolytope(hp.dim, tuple(
+    coordinates when y_0 = 1), deduplicated and sorted by the
+    normalization in ``rational_polytope``."""
+    return rational_polytope(hp.dim, tuple(
         r[1:] if r[0] == 1 else tuple(Fraction(v, r[0]) for v in r[1:])
         for r in vertex_rays(hp)))
 

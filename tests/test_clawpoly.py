@@ -62,8 +62,8 @@ def test_vertices_are_01_with_unit_block_sums(group):
 
 @pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.name)
 def test_vertices_are_the_parsed_zero_sum_points(group):
-    """The rows built directly at scale 1 are what the rational parser
-    makes of the encoded zero-sum tuples: distinct, lex-sorted rows of
+    """The rows built directly at scale 1 are what ``VPolytope(dim,
+    points)`` makes of the encoded zero-sum tuples: distinct, lex-sorted rows of
     length d, so the polytopes and their hashes are equal."""
     w = block_width(group)
     for n in (2, 3, 4, 5):
@@ -93,6 +93,17 @@ def test_subset_cut_validation():
         subset_cut(Z2, 3, (1,), channel=2)  # z2 has a single channel
     with pytest.raises(ValueError):
         subset_cut(Z2xZ2, 3, (1,), channel=4)
+    # Positions and channels are ints: 2.7 is not position 2, and neither
+    # 1.0 nor 2.0 stands for the int it equals.
+    for positions, channel in (((1, 2.7), 1), ((1.0,), 1), ((1,), 2.0)):
+        with pytest.raises(ValueError, match="got float"):
+            subset_cut(Z2xZ2, 3, positions, channel)
+        with pytest.raises(ValueError, match="got float"):
+            OddSubsetCut(Z2xZ2, 3, positions, channel)
+    # A bool is the int it equals, and is stored as that int.
+    flag = subset_cut(Z2xZ2, 3, (True,), True)
+    assert flag == subset_cut(Z2xZ2, 3, (1,), 1)
+    assert flag.describe() == {"A": [1], "channel": "a"}
 
 
 def test_tuple_cut_validation():
@@ -105,6 +116,10 @@ def test_tuple_cut_validation():
         tuple_cut(2, (3, 0), 1)
     with pytest.raises(ValueError):
         tuple_cut(2, (2, 0), 3)
+    for digits, channel in (((2, 0.0), 1), ((2.0, 0), 1), ((2, 0), 1.0)):
+        with pytest.raises(ValueError, match="got float"):
+            tuple_cut(2, digits, channel)
+    assert tuple_cut(2, (2, 0), True).describe() == {"A": [2, 0], "channel": "1"}
 
 
 def test_z3_cut_coefficients_frozen():

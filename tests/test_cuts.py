@@ -243,9 +243,10 @@ def volume_pieces():
 
 
 def test_volume_pieces_are_stored_as_vpolytope_would():
-    # vertex_enumeration skips VPolytope's own normalization; every piece's
-    # points, their order and their types must be what it would give, so
-    # triangulate places them the same way.
+    # vertex_enumeration sorts the rays by their integer rows; every piece's
+    # points, their order and their types must be what the reference
+    # normalization of the points gives, so triangulate places them the
+    # same way.
     checked = 0
     for spec in volume_pieces():
         hp = cut_piece(spec)
@@ -301,14 +302,15 @@ def test_volume_claims_never_build_points(monkeypatch, lemma_id):
 
 def points_verdict(claim):
     """``check_lemma``'s verdict for a flat, contained or integral claim,
-    worked out on the piece's points: affine_dim of the points,
+    worked out on the piece's points: affine_dim of their integer rows,
     ``helpers.holds`` per point, and each coordinate's denominator."""
     spec = claim.spec
-    points = piece_vertices(spec).vertices
+    vp = piece_vertices(spec)
+    points = vp.vertices
     if claim.kind == cuts.FLAT:
         if not points:
             return Verdict(True, "flat", "empty")
-        ad = affine_dim(points)
+        ad = affine_dim(vp.rows)
         return Verdict(ad < ambient_dim(spec.group, spec.n), "flat", f"dim={ad}")
     if claim.kind == cuts.CONTAINED_EXISTS:
         other = 2 if spec.cuts[0].channel == 1 else 1

@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from clawvol import cli, clawpoly, geometry
+from clawvol.clawpoly import subset_cut, tuple_cut
 from clawvol.cuts import CutSpec, cut_piece, lemma_claims, piece_vertices
 from clawvol.geometry import (
     HPolytope,
@@ -31,8 +32,8 @@ from clawvol.geometry import (
     _dd_cone,
     _dd_state,
     _primitive,
-    _scaled_integers,
 )
+from clawvol.groups import Z2, Z2xZ2
 from clawvol.serialize import dumps
 from helpers import (
     contains,
@@ -41,6 +42,8 @@ from helpers import (
     holds,
     normalized_vertices,
     paths_agree,
+    rational_halfspace,
+    rational_polytope,
     same_points,
     value,
     vh_consistent,
@@ -56,14 +59,13 @@ def pt(*vals):
 
 
 def box(*bounds) -> HPolytope:
-    """Axis-aligned box given per-coordinate (lo, hi) pairs."""
+    """Axis-aligned box given per-coordinate rational (lo, hi) pairs."""
     d = len(bounds)
     rows = []
     for i, (lo, hi) in enumerate(bounds):
-        e = [F(0)] * d
-        e[i] = F(1)
-        rows.append(HalfSpace(tuple(-x for x in e), F(-lo)))
-        rows.append(HalfSpace(tuple(e), F(hi)))
+        e = tuple(int(j == i) for j in range(d))
+        rows.append(rational_halfspace(tuple(-x for x in e), -lo))
+        rows.append(rational_halfspace(e, hi))
     return HPolytope(d, tuple(rows))
 
 
@@ -77,26 +79,45 @@ def test_halfspace_basics():
     # stored as the primitive integer row, orientation kept
     assert HalfSpace((2, -4), 6) == h
     assert HalfSpace((-2, 4), -6) == flipped(h)
-    scaled = HalfSpace((F(2, 3), 0), F(1, 3))
-    assert scaled == HalfSpace((2, 0), 1)
-    assert type(scaled.offset) is int and all(type(a) is int for a in scaled.normal)
-    assert HalfSpace((0, 0), F(-3, 2)) == HalfSpace((0, 0), -1)
+    assert HalfSpace((0, 0), -3) == HalfSpace((0, 0), -1)
+    # a bool counts as the int it equals, and is stored as that int
+    flag = HalfSpace((True, False), True)
+    assert flag == HalfSpace((1, 0), 1)
+    assert all(type(v) is int for v in (*flag.normal, flag.offset))
 
 
-@pytest.mark.parametrize("build", [
-    lambda: HalfSpace((1, 0), 0.1),
-    lambda: HalfSpace((0.5, 0), 1),
-    lambda: VPolytope(1, ((0.1,),)),
-    lambda: VPolytope(2, ((0, 0), (1, 1.0))),
-    lambda: LatticeBasis(1, ((1.0,),)),
-    lambda: affine_dim([(0, 0), (0.5, 1)]),
-    lambda: holds(HalfSpace((1, 0), 1), (0.5, 0)),
-    lambda: contains(box((0, 1), (0, 1)), (0, 0.5)),
-], ids=("halfspace-offset", "halfspace-normal", "vpolytope", "vpolytope-whole",
-        "lattice", "affine-dim", "holds", "contains"))
-def test_floats_are_refused(build):
-    with pytest.raises(ValueError, match="float"):
-        build()
+# Every public entry that takes numbers, given one entry at a time; the
+# other entries are valid ints.
+PUBLIC_ENTRIES = {
+    "halfspace-offset": lambda x: HalfSpace((1, 0), x),
+    "halfspace-normal": lambda x: HalfSpace((x, 0), 1),
+    "vpolytope": lambda x: VPolytope(1, ((x,),)),
+    "vpolytope-whole": lambda x: VPolytope(2, ((0, 0), (1, x))),
+    "lattice": lambda x: LatticeBasis(2, ((1, 0), (0, x))),
+    "affine-dim": lambda x: affine_dim([(0, 0), (x, 1)]),
+    "subset-cut-position": lambda x: subset_cut(Z2, 3, (1, x)),
+    "subset-cut-channel": lambda x: subset_cut(Z2xZ2, 3, (1,), x),
+    "tuple-cut-digit": lambda x: tuple_cut(3, (1, x, 0), 1),
+    "tuple-cut-channel": lambda x: tuple_cut(3, (1, 1, 0), x),
+}
+# The test-side point checks take rational points.
+HELPER_ENTRIES = {
+    "holds": lambda x: holds(HalfSpace((1, 0), 1), (x, 0)),
+    "contains": lambda x: contains(box((0, 1), (0, 1)), (0, x)),
+}
+
+
+@pytest.mark.parametrize("entry", [*PUBLIC_ENTRIES, *HELPER_ENTRIES])
+def test_floats_are_refused(entry):
+    """A float, a ``Fraction`` and a string are refused even when they
+    equal 1, with a ``ValueError`` that names their type; the int 1 passes.
+    The test helpers refuse only the float and the string."""
+    build = PUBLIC_ENTRIES.get(entry) or HELPER_ENTRIES[entry]
+    refused = (1.0, F(1), "1") if entry in PUBLIC_ENTRIES else (1.0, "1")
+    for bad in refused:
+        with pytest.raises(ValueError, match=f"got {type(bad).__name__}$"):
+            build(bad)
+    build(1)
 
 
 @pytest.mark.parametrize("call", [
@@ -117,8 +138,8 @@ def test_hpolytope_contains():
 
 
 def test_vpolytope_dedup_and_sort():
-    vp = VPolytope(1, (pt(1), pt(0), pt(1)))
-    assert vp.vertices == (pt(0), pt(1))
+    vp = VPolytope(1, ((1,), (0,), (1,)))
+    assert vp.scale == 1 and vp.rows == vp.vertices == ((0,), (1,))
     assert not vp.is_empty()
     assert VPolytope(2, ()).is_empty()
 
@@ -160,7 +181,7 @@ def test_points_keep_int_and_fraction_coordinates(monkeypatch):
     ints = ((1, 0), (0, 0), (0, 1), (F(1, 2), 2))
     fractions = tuple(pt(*p) for p in ints)
     mixed = ((F(1), 0), (0, F(0)), (0, 1), (F(1, 2), F(2)), (1, F(0)))
-    polys = [VPolytope(2, points) for points in (ints, fractions, mixed)]
+    polys = [rational_polytope(2, points) for points in (ints, fractions, mixed)]
     assert polys[0] == polys[1] == polys[2]
     assert len({hash(vp) for vp in polys}) == 1
     # Only the rows are kept; the points are built from them on first read.
@@ -195,9 +216,9 @@ def test_enumerate_lower_dimensional():
 
 def test_affine_dim():
     assert affine_dim([]) == -1
-    assert affine_dim([pt(5, 5)]) == 0
-    assert affine_dim([pt(0, 0), pt(1, 1), pt(2, 2)]) == 1
-    assert affine_dim([pt(0, 0), pt(1, 0), pt(0, 1)]) == 2
+    assert affine_dim([(5, 5)]) == 0
+    assert affine_dim([(0, 0), (1, 1), (2, 2)]) == 1
+    assert affine_dim([(0, 0), (1, 0), (0, 1)]) == 2
 
 
 @st.composite
@@ -270,14 +291,14 @@ def test_bareiss_pivots_are_greedy_and_right_block_inverts_them(rows):
 
 def test_vh_consistent():
     hp = box((0, 1), (0, 1))
-    good = VPolytope(2, (pt(0, 0), pt(0, 1), pt(1, 0), pt(1, 1)))
+    good = VPolytope(2, ((0, 0), (0, 1), (1, 0), (1, 1)))
     assert vh_consistent(good, hp)
     # redundant hull-interior points are fine, a wrong vertex set is not
-    with_center = VPolytope(2, good.vertices + (pt(F(1, 2), F(1, 2)),))
+    with_center = rational_polytope(2, good.vertices + ((F(1, 2), F(1, 2)),))
     assert vh_consistent(with_center, hp)
     missing = VPolytope(2, good.vertices[:3])
     assert not vh_consistent(missing, hp)
-    outside = VPolytope(2, good.vertices + (pt(2, 2),))
+    outside = VPolytope(2, good.vertices + ((2, 2),))
     assert not vh_consistent(outside, hp)
 
 
@@ -307,7 +328,7 @@ def test_lattice_index_is_abs_determinant(rows):
 def test_lattice_basis_validation():
     with pytest.raises(ValueError):
         LatticeBasis(2, ((1,),))
-    with pytest.raises(ValueError, match="integral"):
+    with pytest.raises(ValueError, match="got Fraction"):
         LatticeBasis(1, ((F(1, 2),),))
 
 
@@ -348,8 +369,8 @@ def brute_force_vertices(hp: HPolytope) -> tuple:
 def boxed_polytopes(draw):
     """A box in R^1..R^4 cut by random halfspaces near its center, with
     duplicate rows, zero rows, implicit equalities and contradictions.  A
-    duplicate may be given rescaled; the constructor normalizes it to the
-    same primitive row."""
+    duplicate may be given rescaled; it is stored as the same primitive
+    row."""
     d = draw(st.integers(1, 4))
     halves = st.integers(-4, 4).map(lambda k: F(k, 2))
     lo = [draw(halves) for _ in range(d)]
@@ -358,11 +379,13 @@ def boxed_polytopes(draw):
     rows = []
     for i in range(d):
         e = tuple(int(j == i) for j in range(d))
-        rows += [HalfSpace(tuple(-x for x in e), -lo[i]), HalfSpace(e, hi[i])]
+        rows += [rational_halfspace(tuple(-x for x in e), -lo[i]),
+                 rational_halfspace(e, hi[i])]
 
     def near_center():
         a = draw(st.tuples(*[st.integers(-2, 2)] * d).filter(any))
-        return HalfSpace(a, sum(x * c for x, c in zip(a, center)) + draw(halves) / 2)
+        return rational_halfspace(
+            a, sum(x * c for x, c in zip(a, center)) + draw(halves) / 2)
 
     for _ in range(draw(st.integers(0, 2))):
         rows.append(near_center())
@@ -371,9 +394,10 @@ def boxed_polytopes(draw):
         if kind == "duplicate":
             h = draw(st.sampled_from(rows))
             k = draw(st.sampled_from((F(1), F(2), F(1, 3))))
-            rows.append(HalfSpace(tuple(k * a for a in h.normal), k * h.offset))
+            rows.append(rational_halfspace(tuple(k * a for a in h.normal),
+                                           k * h.offset))
         elif kind == "zero":
-            rows.append(HalfSpace((0,) * d, draw(halves)))
+            rows.append(rational_halfspace((0,) * d, draw(halves)))
         elif kind == "equality":
             h = near_center()
             rows += [h, flipped(h)]
@@ -414,8 +438,8 @@ def test_int_points_answer_like_their_fractions(hp, data):
 @settings(max_examples=100, deadline=None)
 @given(boxed_polytopes())
 def test_vertex_enumeration_stores_what_vpolytope_would(hp):
-    # vertex_enumeration sorts the rays by their integer rows and skips
-    # VPolytope's own normalization of the points.
+    # vertex_enumeration sorts the rays by their integer rows; the
+    # reference normalizes the points in helpers.rational_polytope.
     assert same_points(vertex_enumeration(hp), normalized_vertices(hp))
 
 
@@ -469,12 +493,13 @@ def test_vh_consistent_against_brute_force_vertices(hp, data):
                        max_size=len(verts)).filter(any)
     combos = tuple(convex_combination(verts, w)
                    for w in data.draw(st.lists(weights, max_size=3)))
-    assert vh_consistent(VPolytope(hp.dim, verts + combos), hp)
+    assert vh_consistent(rational_polytope(hp.dim, verts + combos), hp)
     dropped = data.draw(st.sampled_from(verts))
     rest = tuple(p for p in verts + combos if p != dropped)
-    assert not vh_consistent(VPolytope(hp.dim, rest), hp)
+    assert not vh_consistent(rational_polytope(hp.dim, rest), hp)
     outside = (max(v[0] for v in verts) + 1, *verts[0][1:])
-    assert not vh_consistent(VPolytope(hp.dim, verts + combos + (outside,)), hp)
+    assert not vh_consistent(
+        rational_polytope(hp.dim, verts + combos + (outside,)), hp)
 
 
 @st.composite
@@ -504,21 +529,24 @@ def rational_point_sets(draw):
 @settings(max_examples=100, deadline=None)
 @given(rational_point_sets())
 def test_affine_dim_matches_sympy_rank(case):
+    # affine_dim takes ints: it reads the polytope's rows, the points times
+    # their common denominator, which have the same affine dimension.
     d, points = case
+    rows = rational_polytope(d, points).rows
     if not points:
-        assert affine_dim(points) == -1
+        assert affine_dim(rows) == -1
         return
     base = points[0]
     diffs = sympy.Matrix([[x - b for x, b in zip(p, base)] for p in points])
     assert diffs.shape == (len(points), d)
-    assert affine_dim(points) == diffs.rank()
+    assert affine_dim(rows) == diffs.rank()
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 4).flatmap(lambda d: st.tuples(
-    st.lists(st.fractions(-5, 5, max_denominator=6), min_size=d, max_size=d),
-    st.fractions(-5, 5, max_denominator=6),
-    st.fractions(F(1, 7), 7, max_denominator=7),
+    st.lists(st.integers(-30, 30), min_size=d, max_size=d),
+    st.integers(-30, 30),
+    st.integers(1, 7),
     st.lists(st.fractions(-3, 3, max_denominator=5), min_size=d, max_size=d))))
 def test_halfspace_rescaling_and_holds(case):
     normal, offset, k, point = case
@@ -559,39 +587,19 @@ def loop_primitive(vec):
     return tuple(v // g for v in vec)
 
 
-def loop_scaled_integers(values):
-    """The lcm loop and per-entry Fraction product ``_scaled_integers`` used."""
-    lcm = 1
-    for v in values:
-        lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-    return loop_primitive([int(v * lcm) for v in values])
-
-
 INTEGER_VECTORS = [(), (0,), (0, 0, 0), (7,), (-6,), (0, -4, 6), (-3, -9, 12),
                    (2, 3, -5), (-1, 0, 0, 1)]
-RATIONAL_VECTORS = [(F(-3, 4),), (F(1, 2), F(1, 3), F(-5, 7)),
-                    (F(1, 6), F(5, 6), F(-7, 6)), (3, F(2, 9), F(-4, 3)),
-                    (F(0), F(-2, 5), 4), (F(4, 6), F(-8, 6), 2)]
 
 
 @pytest.mark.parametrize("vec", INTEGER_VECTORS)
 def test_primitive_matches_gcd_loop(vec):
     assert _primitive(vec) == loop_primitive(vec)
-    assert _scaled_integers(vec) == loop_scaled_integers(vec)
-
-
-@pytest.mark.parametrize("vec", RATIONAL_VECTORS)
-def test_scaled_integers_matches_lcm_loop(vec):
-    assert _scaled_integers(vec) == loop_scaled_integers(vec)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.one_of(st.integers(-60, 60),
-                          st.fractions(-10, 10, max_denominator=12)), max_size=6))
+@given(st.lists(st.integers(-60, 60), max_size=6))
 def test_integer_helpers_match_loops_on_random_vectors(values):
-    ints = [int(v) for v in values]
-    assert _primitive(ints) == loop_primitive(ints)
-    assert _scaled_integers(values) == loop_scaled_integers(values)
+    assert _primitive(values) == loop_primitive(values)
 
 
 # sha256 of repr(_dd_cone(rows, d + 1)) over every piece of each family, in

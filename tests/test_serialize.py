@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from clawvol.clawpoly import vertices
-from clawvol.geometry import HPolytope, HalfSpace, VPolytope
+from clawvol.geometry import HPolytope, HalfSpace, VPolytope, vertex_enumeration
 from clawvol.groups import GROUPS
 from clawvol.serialize import (
     dumps,
@@ -17,6 +17,8 @@ from clawvol.serialize import (
 from helpers import (
     facets,
     hpolytope_to_doc,
+    rational_halfspace,
+    rational_polytope,
     vpolytope_to_doc,
     write_ext,
     write_ine,
@@ -27,15 +29,22 @@ F = Fraction
 CASES = [(g, n) for g in GROUPS.values() for n in (2, 3)]
 CASE_IDS = [f"{g.name}-{n}" for g, n in CASES]
 
+# The unit cube cut by 2(x + y + z) <= 3: four 0/1 corners and six vertices
+# with a coordinate 1/2, so its rows are at scale 2.
+CUT_CUBE = HPolytope(3, tuple(
+    HalfSpace(tuple(sign * int(j == i) for j in range(3)), int(sign > 0))
+    for i in range(3) for sign in (-1, 1)) + (HalfSpace((2, 2, 2), 3),))
+
 
 def parse_doc(text):
-    """The polytope a written JSON document describes."""
+    """The polytope a written JSON document describes, its p/q strings read
+    as ``Fraction``s."""
     doc = json.loads(text)
     if doc["kind"] == "vpolytope":
-        return VPolytope(doc["dim"], tuple(tuple(map(F, v))
-                                           for v in doc["vertices"]))
+        return rational_polytope(doc["dim"], tuple(tuple(map(F, v))
+                                                   for v in doc["vertices"]))
     return HPolytope(doc["dim"], tuple(
-        HalfSpace(tuple(map(F, h["normal"])), F(h["offset"]))
+        rational_halfspace(tuple(map(F, h["normal"])), F(h["offset"]))
         for h in doc["halfspaces"]))
 
 
@@ -66,6 +75,18 @@ def test_json_round_trips(group, n):
     assert parse_doc(dumps(hpolytope_to_doc(hp))) == hp
 
 
+def test_round_trips_of_a_polytope_with_fractional_vertices():
+    vp = vertex_enumeration(CUT_CUBE)
+    assert vp.scale == 2 and len(vp.rows) == 10
+    assert parse_doc(dumps(vpolytope_to_doc(vp))) == vp
+    assert parse_doc(dumps(hpolytope_to_doc(CUT_CUBE))) == CUT_CUBE
+    ext = write_ext(vp)
+    assert "1/2" in ext
+    _, rows = parse_block(ext)
+    read_vp = rational_polytope(vp.dim, tuple(tuple(row[1:]) for row in rows))
+    assert read_vp == vp and write_ext(read_vp) == ext
+
+
 def test_json_text_is_canonical():
     vp = vertices(GROUPS["z2"], 3)
     text = dumps(vpolytope_to_doc(vp))
@@ -93,11 +114,11 @@ def test_matrix_file_round_trips(group, n):
     ine = write_ine(hp)
     header, rows = parse_block(ext)
     assert header == "V-representation" and all(row[0] == 1 for row in rows)
-    read_vp = VPolytope(vp.dim, tuple(tuple(row[1:]) for row in rows))
+    read_vp = rational_polytope(vp.dim, tuple(tuple(row[1:]) for row in rows))
     header, rows = parse_block(ine)
     assert header == "H-representation"
     read_hp = HPolytope(hp.dim, tuple(
-        HalfSpace(tuple(-x for x in row[1:]), row[0]) for row in rows))
+        rational_halfspace(tuple(-x for x in row[1:]), row[0]) for row in rows))
     assert read_vp == vp
     assert read_hp == hp
     # writers are fixpoints on their own output

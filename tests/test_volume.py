@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 from clawvol import volume
 from clawvol.clawpoly import vertices
 from clawvol.cuts import lemma_claims, piece_vertices
-from clawvol.geometry import VPolytope, affine_dim, bareiss
+from clawvol.geometry import (
+    LatticeBasis,
+    RankDeficientError,
+    VPolytope,
+    affine_dim,
+    bareiss,
+)
 from clawvol.groups import GROUPS
 from clawvol.volume import (
     Triangulation,
@@ -22,28 +28,23 @@ from clawvol.volume import (
     triangulate,
     triangulation_lattice_volume,
 )
+from helpers import rational_polytope
 from joins import join_product, join_product_many
 import placing_reference
 
 F = Fraction
 
 
-def pt(*vals):
-    return tuple(F(v) for v in vals)
-
-
 def cube(d):
-    return VPolytope(d, tuple(
-        tuple(F(b) for b in bits)
-        for bits in itertools.product((0, 1), repeat=d)))
+    return VPolytope(d, itertools.product((0, 1), repeat=d))
 
 
 def test_simplex_volumes():
-    assert lattice_volume(VPolytope(2, (pt(0, 0), pt(1, 0), pt(0, 1)))) == 1
-    assert lattice_volume(VPolytope(2, (pt(0, 0), pt(1, 1), pt(2, 2)))) == 0
-    assert lattice_volume(VPolytope(1, (pt(F(1, 3)), pt(F(5, 6))))) == F(1, 2)
-    scaled = VPolytope(3, (pt(0, 0, 0), pt(2, 0, 0), pt(0, 3, 0),
-                           pt(F(1, 2), F(1, 2), F(5, 2))))
+    assert lattice_volume(VPolytope(2, ((0, 0), (1, 0), (0, 1)))) == 1
+    assert lattice_volume(VPolytope(2, ((0, 0), (1, 1), (2, 2)))) == 0
+    assert lattice_volume(rational_polytope(1, ((F(1, 3),), (F(5, 6),)))) == F(1, 2)
+    scaled = rational_polytope(3, ((0, 0, 0), (2, 0, 0), (0, 3, 0),
+                                   (F(1, 2), F(1, 2), F(5, 2))))
     assert lattice_volume(scaled) == 15
 
 
@@ -60,30 +61,33 @@ def test_triangulate_square():
 
 
 def test_triangulate_flat_or_small_inputs():
-    assert triangulate(VPolytope(2, (pt(0, 0), pt(1, 0)))).simplices == ()
-    line = VPolytope(2, (pt(0, 0), pt(1, 1), pt(2, 2)))
+    assert triangulate(VPolytope(2, ((0, 0), (1, 0)))).simplices == ()
+    line = VPolytope(2, ((0, 0), (1, 1), (2, 2)))
     assert triangulate(line).simplices == ()
     assert lattice_volume(line) == 0
     assert lattice_volume(VPolytope(3, ())) == 0
 
 
 def test_non_extreme_points_do_not_change_volume():
-    with_center = VPolytope(2, cube(2).vertices + (pt(F(1, 2), F(1, 2)),))
+    with_center = rational_polytope(2, cube(2).vertices + ((F(1, 2), F(1, 2)),))
     assert lattice_volume(with_center) == 2
-    with_edge_midpoint = VPolytope(2, cube(2).vertices + (pt(F(1, 2), 0),))
+    with_edge_midpoint = rational_polytope(2, cube(2).vertices + ((F(1, 2), 0),))
     assert lattice_volume(with_edge_midpoint) == 2
 
 
 def test_lattice_volume_with_basis():
-    from clawvol.geometry import LatticeBasis
-
     halved = LatticeBasis(2, ((2, 0), (0, 1)))
     assert lattice_volume(cube(2), halved) == 1
+    assert lattice_volume(VPolytope(2, ()), halved) == 0
+    # A basis that spans no lattice is refused whatever the polytope: full,
+    # flat or empty.
+    deficient = LatticeBasis(2, ((1, 1), (2, 2)))
+    for vp in (cube(2), VPolytope(2, ((0, 0), (1, 1))), VPolytope(2, ())):
+        with pytest.raises(RankDeficientError):
+            lattice_volume(vp, deficient)
 
 
 def test_lattice_volume_refuses_a_basis_of_another_dimension():
-    from clawvol.geometry import LatticeBasis
-
     wide = LatticeBasis(3, ((5, 0, 0), (0, 1, 0), (0, 0, 1)))
     with pytest.raises(ValueError, match="Z\\^3"):
         lattice_volume(cube(2), wide)
@@ -92,18 +96,18 @@ def test_lattice_volume_refuses_a_basis_of_another_dimension():
 
 
 def test_join_product_basics():
-    seg = VPolytope(1, (pt(0), pt(1)))
+    seg = VPolytope(1, ((0,), (1,)))
     tri = join_product(seg, seg)
-    assert set(tri.vertices) == {pt(0, 0), pt(1, 0), pt(0, 1)}
+    assert set(tri.vertices) == {(0, 0), (1, 0), (0, 1)}
     assert lattice_volume(tri) == 1
-    shifted = VPolytope(1, (pt(1), pt(2)))
+    shifted = VPolytope(1, ((1,), (2,)))
     with pytest.raises(ValueError, match="origin"):
         join_product(seg, shifted)
 
 
 def test_join_product_many_multiplies_volumes():
-    seg = VPolytope(1, (pt(0), pt(2)))
-    sq = VPolytope(2, (pt(0, 0), pt(1, 0), pt(0, 1), pt(1, 1)))
+    seg = VPolytope(1, ((0,), (2,)))
+    sq = VPolytope(2, ((0, 0), (1, 0), (0, 1), (1, 1)))
     joined = join_product_many([seg, sq, seg])
     assert joined.dim == 4
     assert lattice_volume(joined) == 2 * 2 * 2
@@ -115,9 +119,9 @@ def test_join_product_random_instances():
         factors = []
         for _ in range(rng.randint(2, 3)):
             d = rng.randint(1, 3)
-            pts = {tuple(F(0) for _ in range(d))}
+            pts = {(0,) * d}
             for _ in range(d + rng.randint(1, 3)):
-                pts.add(tuple(F(rng.randint(0, 2)) for _ in range(d)))
+                pts.add(tuple(rng.randint(0, 2) for _ in range(d)))
             factors.append(VPolytope(d, tuple(pts)))
         joined = join_product_many(factors)
         expected = F(1)
@@ -197,7 +201,7 @@ def point_sets(draw):
         a = draw(st.sampled_from(pts))
         b = draw(st.sampled_from(pts))
         pts.append(draw(st.sampled_from((a, tuple((x + y) / 2 for x, y in zip(a, b))))))
-    return VPolytope(d, tuple(pts))
+    return rational_polytope(d, pts)
 
 
 @st.composite
@@ -236,9 +240,9 @@ def test_triangulation_volume_matches_determinants_and_unimodular_image(data):
     vp = data.draw(point_sets())
     t = triangulate(vp)
     assert t.volume == determinant_sum(t)
-    assert (t.volume > 0) == (affine_dim(vp.vertices) == vp.dim)
+    assert (t.volume > 0) == (affine_dim(vp.rows) == vp.dim)
     rows, shift = data.draw(unimodular_maps(vp.dim))
-    image = VPolytope(vp.dim, tuple(
+    image = rational_polytope(vp.dim, tuple(
         tuple(sum(r * x for r, x in zip(row, p)) + s for row, s in zip(rows, shift))
         for p in vp.vertices))
     assert triangulate(image).volume == t.volume
@@ -253,7 +257,7 @@ def zero_one_sets(draw):
     coord = st.one_of(st.sampled_from((F(0), F(1))),
                       st.sampled_from((F(0), F(1), F(2), F(-1), F(1, 2))))
     pts = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=d + 10))
-    return VPolytope(d, tuple(pts))
+    return rational_polytope(d, pts)
 
 
 def outcome(triangulate_fn, vp):
