@@ -3,8 +3,8 @@
 The package builds the 0/1 model polytopes for the groups Z2, Z2xZ2, and
 Z3 on an n-claw tree, and computes their normalized lattice volume three
 ways: closed-form formulas, arithmetic assembly from cut-piece volumes, and
-brute-force exact geometry (vertex enumeration plus placing triangulation
-over the rationals).  The first two share the Z2xZ2 alternating sum.
+brute-force exact geometry (vertex enumeration plus placing
+triangulation).  The first two share the Z2xZ2 alternating sum.
 """
 
 from .clawpoly import (
@@ -13,11 +13,8 @@ from .clawpoly import (
     OddSubsetCut,
     ambient,
     ambient_dim,
-    cut_halfspace,
     lattice,
     model_lattice_index,
-    subset_cut,
-    tuple_cut,
     vertices,
 )
 from .cuts import (
@@ -63,9 +60,8 @@ from .volume import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "MINUS", "PLUS", "OddSubsetCut", "ambient", "ambient_dim",
-    "cut_halfspace", "lattice", "model_lattice_index", "subset_cut",
-    "tuple_cut", "vertices",
+    "MINUS", "PLUS", "OddSubsetCut", "ambient", "ambient_dim", "lattice",
+    "model_lattice_index", "vertices",
     "CutSpec", "LEMMA_IDS", "LemmaClaim", "assemble", "check_lemma",
     "cut_piece", "lemma_claims", "piece_volume", "run_lemma",
     "FormulaError", "cut_formula", "degree", "degree_table",

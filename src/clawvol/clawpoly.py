@@ -12,9 +12,10 @@ cut inequalities indexed by subsets of [n] (Z2, Z2xZ2) or by digit tuples in
 ``facet_halfspaces``, the one form of the facet system, walks it one
 halfspace at a time and builds each cut as it is reached.
 
-A cut builds each side's halfspace once, on first use, and keeps it on the
-cut object.  ``cuts.lemma_claims`` shares one cut object among all the
-claims of a list that use it, so a claim list builds each halfspace once.
+A cut carries its side, minus or plus, and builds its one halfspace once,
+on first use, and keeps it on the cut object.  ``cuts.lemma_claims`` shares
+one cut object among all the claims of a list that use it, so a claim list
+builds each halfspace once.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
-from .geometry import HalfSpace, HPolytope, LatticeBasis, VPolytope, _ints
+from .geometry import HalfSpace, HPolytope, LatticeBasis, VPolytope, _int, _ints
 from .groups import Group, Z2, Z2xZ2, Z3, zero_sum_tuples
 
 # The two fixed families of 2-vectors defining the Z3 cut functionals:
@@ -34,9 +35,12 @@ Z3_NORMALS_W = ((2, 1), (-1, 1), (-1, -2))
 
 MIN_N = 2
 
+MINUS = "minus"
+PLUS = "plus"
+
 
 def _check_n(n: int, minimum: int = MIN_N) -> None:
-    if n < minimum:
+    if _int(n) < minimum:
         raise ValueError(f"n must be >= {minimum}, got {n}")
 
 
@@ -50,7 +54,9 @@ def ambient_dim(group: Group, n: int) -> int:
 
 @dataclass(frozen=True)
 class OddSubsetCut:
-    """Index data (A, channel) of one cut functional S_{A,g}.
+    """One side of a cut functional S_{A,g}: its index data (A, channel)
+    and the side it keeps, MINUS (S_{A,g} <= rhs, the default) or PLUS
+    (S_{A,g} >= rhs).
 
     For Z2 and Z2xZ2, ``subset`` is the sorted tuple of positions in [n]
     forming A; the channel is a nonzero group element (Z2 has only channel
@@ -65,10 +71,15 @@ class OddSubsetCut:
     n: int
     subset: tuple[int, ...]
     channel: int
+    side: str = MINUS
 
     def __post_init__(self):
-        _check_n(self.n, 1)
-        subset, (channel,) = _ints(self.subset), _ints((self.channel,))
+        if self.side not in (MINUS, PLUS):
+            raise ValueError(
+                f"side must be {MINUS!r} or {PLUS!r}, got {self.side!r}")
+        subset, (n, channel) = _ints(self.subset), _ints((self.n, self.channel))
+        _check_n(n, 1)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "subset", subset)
         object.__setattr__(self, "channel", channel)
         if self.group is Z3:
@@ -92,38 +103,20 @@ class OddSubsetCut:
             return 2 - sum(self.subset)
         return 1 - len(self.subset)
 
-    def channel_name(self) -> str:
-        if self.group is Z3:
-            return str(self.channel)
-        return self.group.element_name(self.channel)
-
     def describe(self) -> dict:
-        """JSON-ready hypothesis fragment."""
-        return {"A": list(self.subset), "channel": self.channel_name()}
-
-    # Each side's halfspace is built on first use and kept on the cut, out
-    # of equality, hashing and repr; ``cut_halfspace`` reads them.
-    @functools.cached_property
-    def _minus(self) -> HalfSpace:
-        return HalfSpace(s_coefficients(self), self.rhs)
+        """JSON-ready hypothesis fragment; the side is left to the claim."""
+        channel = (str(self.channel) if self.group is Z3
+                   else self.group.element_name(self.channel))
+        return {"A": list(self.subset), "channel": channel}
 
     @functools.cached_property
-    def _plus(self) -> HalfSpace:
-        return HalfSpace(tuple(-c for c in s_coefficients(self)), -self.rhs)
-
-
-def subset_cut(group: Group, n: int, positions: Iterable[int],
-               channel: int = 1) -> OddSubsetCut:
-    """Cut for a position set A, for the groups indexed by subsets of [n]."""
-    if group is Z3:
-        raise ValueError("Z3 cuts are indexed by digit tuples; use tuple_cut")
-    return OddSubsetCut(group, n, tuple(sorted(set(_ints([*positions])))),
-                        channel)
-
-
-def tuple_cut(n: int, digits: Iterable[int], channel: int) -> OddSubsetCut:
-    """Z3 cut for a digit tuple A in {0,1,2}^n and channel 1 or 2."""
-    return OddSubsetCut(Z3, n, tuple(digits), channel)
+    def halfspace(self) -> HalfSpace:
+        """S_{A,g} <= rhs (minus) or S_{A,g} >= rhs (plus), built on first
+        use and kept on the cut, out of equality, hashing and repr."""
+        coeffs = s_coefficients(self)
+        if self.side == MINUS:
+            return HalfSpace(coeffs, self.rhs)
+        return HalfSpace(tuple(-c for c in coeffs), -self.rhs)
 
 
 def s_coefficients(cut: OddSubsetCut) -> tuple[int, ...]:
@@ -158,22 +151,6 @@ def z3_facet_tuples(n: int) -> Iterator[tuple[int, ...]]:
     return (t for t in z3_tuples(n) if sum(t) % 3 == 2)
 
 
-MINUS = "minus"
-PLUS = "plus"
-
-
-def cut_halfspace(cut: OddSubsetCut, side: str) -> HalfSpace:
-    """The halfspace S_{A,g} <= rhs (minus) or S_{A,g} >= rhs (plus).
-
-    Built once per cut and side: a second call returns the same object.
-    """
-    if side == MINUS:
-        return cut._minus
-    if side == PLUS:
-        return cut._plus
-    raise ValueError(f"side must be {MINUS!r} or {PLUS!r}, got {side!r}")
-
-
 @functools.lru_cache(maxsize=8)
 def z3_minus_halfspaces(n: int, channel: int
                         ) -> tuple[tuple[tuple[int, ...], HalfSpace], ...]:
@@ -182,7 +159,7 @@ def z3_minus_halfspaces(n: int, channel: int
     Built once per (n, channel) and shared: a contained claim tests its
     piece against every one of them.
     """
-    return tuple((c, cut_halfspace(tuple_cut(n, c, channel), MINUS))
+    return tuple((c, OddSubsetCut(Z3, n, c, channel).halfspace)
                  for c in z3_facet_tuples(n))
 
 
@@ -232,7 +209,7 @@ def vertices(group: Group, n: int) -> VPolytope:
 
 
 def _facet_cut_walk(group: Group, n: int) -> Iterator[OddSubsetCut]:
-    """Each cut whose plus side is a facet, built one at a time, in
+    """The plus side of each cut that is a facet, built one at a time, in
     (channel, index) order.
 
     Z2: odd subsets of [n] by ascending bitmask.  Z2xZ2: the same per
@@ -242,12 +219,13 @@ def _facet_cut_walk(group: Group, n: int) -> Iterator[OddSubsetCut]:
     if group is Z3:
         for channel in (1, 2):
             for digits in z3_facet_tuples(n):
-                yield tuple_cut(n, digits, channel)
+                yield OddSubsetCut(Z3, n, digits, channel, PLUS)
         return
     for channel in (1,) if group is Z2 else (1, 2, 3):
         for mask in range(1, 1 << n):
             if bin(mask).count("1") % 2 == 1:
-                yield subset_cut(group, n, _mask_positions(mask), channel)
+                yield OddSubsetCut(group, n, _mask_positions(mask), channel,
+                                   PLUS)
 
 
 def facet_halfspaces(group: Group, n: int) -> Iterator[HalfSpace]:
@@ -259,7 +237,7 @@ def facet_halfspaces(group: Group, n: int) -> Iterator[HalfSpace]:
     _check_n(n)
     return itertools.chain(
         ambient(group, n).halfspaces,
-        (cut_halfspace(c, PLUS) for c in _facet_cut_walk(group, n)))
+        (c.halfspace for c in _facet_cut_walk(group, n)))
 
 
 # Rows generating the model lattice inside block 0: the kernel of the

@@ -1,11 +1,12 @@
 """Cut pieces, their volume and dimension claims, and the assembled degree.
 
-A *piece* is the ambient product of simplices intersected with the minus
-sides of chosen cuts.  The degree of the claw polytope equals the ambient
-volume minus the volume of the union of all facet-cut pieces; that union is
-accounted for by closed-form piece volumes together with counting arguments,
-and every one of those closed forms and dimension claims is checkable here
-against the exact geometry oracle (vertex enumeration + triangulation).
+A *piece* is the ambient product of simplices intersected with one side of
+each of some chosen cuts; a cut carries its side, minus unless it says
+plus.  The degree of the claw polytope equals the ambient volume minus the
+volume of the union of all facet-cut pieces; that union is accounted for by
+closed-form piece volumes together with counting arguments, and every one
+of those closed forms and dimension claims is checkable here against the
+exact geometry oracle (vertex enumeration + triangulation).
 
 Claim kinds:
 
@@ -17,14 +18,14 @@ Claim kinds:
 
 The 13 claim families live in one table, ``LEMMA_FAMILIES``: each id maps
 to its group, its claim kind, an ``instances(n)`` builder that yields
-every instance's cut indices, sides and closed-form value, and the number
-of instances in closed form.  ``lemma_claims`` turns the instances into
+every instance's cut keys and closed-form value, and the number of
+instances in closed form.  ``lemma_claims`` turns the instances into
 ``CutSpec`` and ``LemmaClaim`` objects in one place, and ``LEMMA_IDS`` and
 ``LEMMA_GROUPS`` are read from the table.
 
 Cuts are shared within a claim list: ``lemma_claims`` builds one
-``OddSubsetCut`` per distinct (A, channel), and each cut builds its
-halfspaces once, so ``cut_piece`` only appends prebuilt halfspaces to the
+``OddSubsetCut`` per distinct (A, channel, side), and each cut builds its
+halfspace once, so ``cut_piece`` only appends prebuilt halfspaces to the
 shared ambient polytope.  Every check still runs the double description
 on its own piece.  A volume claim reads the vertex rows of
 ``vertex_enumeration``; the flat, contained and integral claims read the
@@ -54,7 +55,6 @@ from .clawpoly import (
     _mask_positions,
     ambient,
     ambient_dim,
-    cut_halfspace,
     model_lattice_index,
     z3_facet_tuples,
     z3_minus_halfspaces,
@@ -83,22 +83,13 @@ from .volume import lattice_volume
 
 @dataclass(frozen=True)
 class CutSpec:
-    """A piece: ambient(group, n) cut by the listed halfspaces.
-
-    ``sides[i]`` applies to ``cuts[i]``; by default every cut contributes
-    its minus side, which is the case used throughout the assembly.
-    """
+    """A piece: ambient(group, n) cut by the halfspace of each listed cut."""
 
     group: Group
     n: int
     cuts: tuple[OddSubsetCut, ...]
-    sides: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if not self.sides:
-            object.__setattr__(self, "sides", (MINUS,) * len(self.cuts))
-        if len(self.sides) != len(self.cuts):
-            raise ValueError("one side per cut is required")
         for cut in self.cuts:
             if cut.group is not self.group or cut.n != self.n:
                 raise ValueError("cut does not match the piece's group and n")
@@ -108,7 +99,7 @@ def cut_piece(spec: CutSpec) -> HPolytope:
     """The shared ambient polytope with each cut's prebuilt halfspace
     appended, so vertex enumeration resumes from the ambient's cone."""
     return ambient(spec.group, spec.n).with_halfspaces(
-        map(cut_halfspace, spec.cuts, spec.sides))
+        cut.halfspace for cut in spec.cuts)
 
 
 def piece_vertices(spec: CutSpec) -> VPolytope:
@@ -172,8 +163,8 @@ class LemmaClaim:
             "n": self.spec.n,
             "cuts": [c.describe() for c in self.spec.cuts],
         }
-        if any(s != MINUS for s in self.spec.sides):
-            data["sides"] = list(self.spec.sides)
+        if any(c.side != MINUS for c in self.spec.cuts):
+            data["sides"] = [c.side for c in self.spec.cuts]
         return data
 
 
@@ -184,10 +175,11 @@ class Verdict:
     computed: str
 
 
-# Instance builders.  Each yields ``(cuts, sides, expected)`` per instance in
-# canonical order: ``cuts`` holds one ``(A, channel)`` pair per cut, with A
-# the sorted positions (Z2, Z2xZ2) or the digit tuple (Z3); ``sides`` is
-# empty when every cut takes its minus side; ``expected`` is the closed-form
+# Instance builders.  Each yields ``(cuts, expected)`` per instance in
+# canonical order: ``cuts`` holds one key per cut, the arguments of its
+# ``OddSubsetCut`` after the group and n: ``(A, channel)``, with A the sorted
+# positions (Z2, Z2xZ2) or the digit tuple (Z3), or ``(A, channel, side)``
+# in the one family that takes both sides; ``expected`` is the closed-form
 # volume, or None for the other kinds.
 
 def _subsets(n: int) -> list[tuple[int, ...]]:
@@ -199,7 +191,7 @@ def _single_cut_volumes(tag, channels, pool, n):
     expected = cut_formula(tag, n)
     for g in channels:
         for a in pool(n):
-            yield ((a, g),), (), expected
+            yield ((a, g),), expected
 
 
 def _same_parity_pairs(channels, n):
@@ -208,14 +200,14 @@ def _same_parity_pairs(channels, n):
         for i, a in enumerate(subsets):
             for b in subsets[i + 1:]:
                 if len(a) % 2 == len(b) % 2:
-                    yield ((a, g), (b, g)), (), None
+                    yield ((a, g), (b, g)), None
 
 
 def _z22_both_sides(n):
     for g in (1, 2, 3):
         for a in _subsets(n):
             for side in (MINUS, PLUS):
-                yield ((a, g),), (side,), None
+                yield ((a, g, side),), None
 
 
 def _z22_cross_pairs(n):
@@ -223,13 +215,13 @@ def _z22_cross_pairs(n):
     subsets = _subsets(n)
     for g, h in ((1, 2), (1, 3), (2, 3)):
         for a, b in product(subsets, repeat=2):
-            yield ((a, g), (b, h)), (), expected
+            yield ((a, g), (b, h)), expected
 
 
 def _z22_triples(n):
     for a, b, c in product(_subsets(n), repeat=3):
         if (len(a) + len(b) + len(c)) % 2:
-            yield (((a, 1), (b, 2), (c, 3)), (),
+            yield (((a, 1), (b, 2), (c, 3)),
                    cut_formula(Z22_THREE_FACET, n, (a, b, c)))
 
 
@@ -242,7 +234,7 @@ def _z3_same_channel_pairs(pool, keep, n):
             for b in tuples[i + 1:]:
                 if (sum(a) % 3 == sum(b) % 3
                         and keep(sum(x != y for x, y in zip(a, b)))):
-                    yield ((a, g), (b, g)), (), None
+                    yield ((a, g), (b, g)), None
 
 
 def _z3_cross_flat(n):
@@ -250,13 +242,13 @@ def _z3_cross_flat(n):
     for a, b in product(tuples, repeat=2):
         if (a != b and (sum(a) + sum(b)) % 3 == 1
                 and sum((x + y) % 3 == 0 for x, y in zip(a, b)) < n - 1):
-            yield ((a, 1), (b, 2)), (), None
+            yield ((a, 1), (b, 2)), None
 
 
 def _z3_double_pairs(n):
     pairs = list(combinations(z3_facet_tuples(n), 2))
     for (a, b), (c, d) in product(pairs, repeat=2):
-        yield ((a, 1), (b, 1), (c, 2), (d, 2)), (), None
+        yield ((a, 1), (b, 1), (c, 2), (d, 2)), None
 
 
 def _z3_cross_pairs(n):
@@ -264,7 +256,7 @@ def _z3_cross_pairs(n):
     for a in z3_tuples(n):
         for j in range(n):
             b = tuple(((i == j) - x) % 3 for i, x in enumerate(a))
-            yield ((a, 1), (b, 2)), (), expected
+            yield ((a, 1), (b, 2)), expected
 
 
 # Closed-form instance counts.  Z3 pairs are counted by their difference
@@ -295,8 +287,8 @@ def _z3_cross_flat_count(n: int) -> int:
 
 
 # The claim families: id -> (group, kind, instances, count), where
-# instances(n) yields the builders' triples and count(n) is their number in
-# closed form.  ``lemma_claims`` turns the triples into claims; the command
+# instances(n) yields the builders' pairs and count(n) is their number in
+# closed form.  ``lemma_claims`` turns the pairs into claims; the command
 # line reads the count to refuse a family before any claim is built.
 LEMMA_FAMILIES: dict[str, tuple[Group, str, Callable[[int], Iterator],
                                 Callable[[int], int]]] = {
@@ -346,8 +338,8 @@ def lemma_claims(lemma_id: str, n: int) -> tuple[LemmaClaim, ...]:
         known = ", ".join(LEMMA_IDS)
         raise ValueError(f"unknown lemma {lemma_id!r}; expected one of: {known}")
     group, kind, instances, _ = LEMMA_FAMILIES[lemma_id]
-    # One cut object per (A, channel), shared by every claim that uses it,
-    # so each cut's halfspaces are built once for the whole list.
+    # One cut object per (A, channel, side), shared by every claim that uses
+    # it, so each cut's halfspace is built once for the whole list.
     shared: dict[tuple, OddSubsetCut] = {}
 
     def cut(key: tuple) -> OddSubsetCut:
@@ -357,9 +349,9 @@ def lemma_claims(lemma_id: str, n: int) -> tuple[LemmaClaim, ...]:
         return found
 
     return tuple(
-        LemmaClaim(lemma_id, CutSpec(group, n, tuple(map(cut, cuts)), sides),
+        LemmaClaim(lemma_id, CutSpec(group, n, tuple(map(cut, cuts))),
                    kind, expected)
-        for cuts, sides, expected in instances(n))
+        for cuts, expected in instances(n))
 
 
 def check_lemma(claim: LemmaClaim) -> Verdict:
@@ -367,8 +359,8 @@ def check_lemma(claim: LemmaClaim) -> Verdict:
 
     A volume claim triangulates the piece's vertex rows.  The other kinds
     read the double description's primitive rays (y_0, y), y_0 > 0, one per
-    vertex y / y_0, and build no ``VPolytope``; only an integral refutation
-    enumerates the points, to name its first fractional vertex.
+    vertex y / y_0, and build no ``VPolytope``; an integral refutation names
+    the least fractional vertex, read off its ray.
     """
     spec = claim.spec
     if claim.kind == VOLUME:
@@ -401,8 +393,8 @@ def check_lemma(claim: LemmaClaim) -> Verdict:
         # A primitive ray stands for an integral vertex exactly when y_0 = 1.
         if all(r[0] == 1 for r in rays):
             return Verdict(True, "integral", f"{len(rays)} integral vertices")
-        bad = next(v for v in piece_vertices(spec).vertices
-                   if any(x.denominator != 1 for x in v))
+        bad = min(tuple(Fraction(v, r[0]) for v in r[1:])
+                  for r in rays if r[0] != 1)
         return Verdict(False, "integral", f"fractional vertex {bad}")
 
     raise ValueError(f"unknown claim kind {claim.kind!r}")

@@ -1,11 +1,11 @@
 """Exact polyhedral geometry on integer input.
 
-Every constructor and ``affine_dim`` take int entries only (a ``bool``
-counts as 0 or 1); a float, a ``Fraction``, a string or any other type is
-refused with a ``ValueError`` naming it.  Results are computed with integer
-arithmetic and no floats are ever produced; the one output with
-``Fraction`` entries is the non-integral points a ``VPolytope`` reads back
-from its rows.
+Every constructor and ``affine_dim`` take int entries and an int
+dimension only (a ``bool`` counts as 0 or 1); a float, a ``Fraction``, a
+string or any other type is refused with a ``ValueError`` naming it.
+Results are computed with integer arithmetic and no floats are ever
+produced; the one output with ``Fraction`` entries is the non-integral
+points a ``VPolytope`` reads back from its rows.
 The central algorithm is a double description vertex enumerator working on
 integer homogeneous coordinates, which turns a halfspace description into
 the exact vertex set of a bounded polyhedron and reliably distinguishes
@@ -59,6 +59,11 @@ def _ints(values: Sequence) -> tuple[int, ...]:
         if not isinstance(v, int):
             raise ValueError(f"expected int, got {type(v).__name__}")
     return tuple(map(int, values))
+
+
+def _int(value) -> int:
+    """``value`` as an int, refused as ``_ints`` refuses an entry."""
+    return _ints((value,))[0]
 
 
 def _check_length(point: Sequence, dim: int) -> None:
@@ -119,6 +124,7 @@ class HPolytope:
                                 repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", _int(self.dim))
         for hs in self.halfspaces:
             if hs.dim != self.dim:
                 raise ValueError(
@@ -156,6 +162,7 @@ class VPolytope:
                                               repr=False)
 
     def __init__(self, dim: int, vertices: Iterable[Sequence]):
+        dim = _int(dim)
         rows = set()
         for p in vertices:
             _check_length(p, dim)
@@ -431,6 +438,7 @@ class LatticeBasis:
     generators: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", _int(self.dim))
         if len(self.generators) != self.dim:
             raise ValueError(f"a basis of Z^{self.dim} needs {self.dim} rows, "
                              f"got {len(self.generators)}")

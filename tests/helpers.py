@@ -13,14 +13,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from clawvol.clawpoly import (
-    PLUS,
-    OddSubsetCut,
-    ambient,
-    cut_halfspace,
-    subset_cut,
-    tuple_cut,
-)
+from clawvol.clawpoly import PLUS, OddSubsetCut, ambient
 from clawvol.cuts import LEMMA_GROUPS, LEMMA_IDS, VOLUME, lemma_claims
 from clawvol.geometry import (
     HalfSpace,
@@ -147,25 +140,27 @@ def is_facet(cut: OddSubsetCut) -> bool:
 
 
 def facet_cuts(group, n: int) -> tuple[OddSubsetCut, ...]:
-    """Every cut whose plus side is a facet, enumerated here and not by
-    ``clawpoly``'s walk, in the order the walk must follow: channel by
+    """The plus side of every cut that is a facet, enumerated here and not
+    by ``clawpoly``'s walk, in the order the walk must follow: channel by
     channel, odd subsets of [n] by ascending bitmask (Z2, Z2xZ2), or digit
     tuples with sum 2 mod 3 in lexicographic order (Z3)."""
     if group is Z3:
-        return tuple(tuple_cut(n, digits, channel) for channel in (1, 2)
+        return tuple(OddSubsetCut(Z3, n, digits, channel, PLUS)
+                     for channel in (1, 2)
                      for digits in itertools.product(range(3), repeat=n)
                      if sum(digits) % 3 == 2)
     return tuple(
-        subset_cut(group, n, [j + 1 for j in range(n) if mask >> j & 1], g)
+        OddSubsetCut(group, n, tuple(j + 1 for j in range(n) if mask >> j & 1),
+                     g, PLUS)
         for g in ((1,) if group is Z2 else (1, 2, 3))
         for mask in range(1 << n) if bin(mask).count("1") % 2)
 
 
 def facets(group, n: int) -> HPolytope:
-    """The facet system: the ambient bounds cut by the plus side of each of
+    """The facet system: the ambient bounds cut by the halfspace of each of
     ``facet_cuts``, with the ambient polytope as its base."""
     return ambient(group, n).with_halfspaces(
-        cut_halfspace(c, PLUS) for c in facet_cuts(group, n))
+        c.halfspace for c in facet_cuts(group, n))
 
 
 def criterion_05_volume_claims():

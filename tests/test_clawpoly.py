@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,13 +17,10 @@ from clawvol.clawpoly import (
     ambient,
     ambient_dim,
     block_width,
-    cut_halfspace,
     facet_halfspaces,
     lattice,
     model_lattice_index,
     s_coefficients,
-    subset_cut,
-    tuple_cut,
     vertices,
 )
 from clawvol.geometry import VPolytope, lattice_index, vertex_enumeration
@@ -81,73 +79,95 @@ def test_vertices_requires_n_at_least_2():
 
 
 def test_subset_cut_validation():
-    assert is_facet(subset_cut(Z2, 3, (1,)))
-    assert not is_facet(subset_cut(Z2, 3, (1, 2)))
-    assert subset_cut(Z2, 3, (1,)).rhs == 0
-    assert subset_cut(Z2, 3, (1, 2, 3)).rhs == -2
+    assert is_facet(OddSubsetCut(Z2, 3, (1,), 1))
+    assert not is_facet(OddSubsetCut(Z2, 3, (1, 2), 1))
+    assert OddSubsetCut(Z2, 3, (1,), 1).rhs == 0
+    assert OddSubsetCut(Z2, 3, (1, 2, 3), 1).rhs == -2
     with pytest.raises(ValueError):
         OddSubsetCut(Z2, 3, (1, 1), 1)
     with pytest.raises(ValueError):
-        subset_cut(Z2, 3, (4,))
+        OddSubsetCut(Z2, 3, (2, 1), 1)  # positions are given sorted
     with pytest.raises(ValueError):
-        subset_cut(Z2, 3, (1,), channel=2)  # z2 has a single channel
+        OddSubsetCut(Z2, 3, (4,), 1)
     with pytest.raises(ValueError):
-        subset_cut(Z2xZ2, 3, (1,), channel=4)
+        OddSubsetCut(Z2, 3, (1,), 2)  # z2 has a single channel
+    with pytest.raises(ValueError):
+        OddSubsetCut(Z2xZ2, 3, (1,), 4)
     # Positions and channels are ints: 2.7 is not position 2, and neither
     # 1.0 nor 2.0 stands for the int it equals.
     for positions, channel in (((1, 2.7), 1), ((1.0,), 1), ((1,), 2.0)):
         with pytest.raises(ValueError, match="got float"):
-            subset_cut(Z2xZ2, 3, positions, channel)
-        with pytest.raises(ValueError, match="got float"):
             OddSubsetCut(Z2xZ2, 3, positions, channel)
     # A bool is the int it equals, and is stored as that int.
-    flag = subset_cut(Z2xZ2, 3, (True,), True)
-    assert flag == subset_cut(Z2xZ2, 3, (1,), 1)
+    flag = OddSubsetCut(Z2xZ2, True, (True,), True)
+    assert flag == OddSubsetCut(Z2xZ2, 1, (1,), 1) and type(flag.n) is int
     assert flag.describe() == {"A": [1], "channel": "a"}
 
 
 def test_tuple_cut_validation():
-    cut = tuple_cut(2, (2, 0), 1)
+    cut = OddSubsetCut(Z3, 2, (2, 0), 1)
     assert is_facet(cut) and cut.rhs == 0
-    assert is_facet(tuple_cut(2, (1, 1), 2))
-    assert not is_facet(tuple_cut(2, (1, 0), 1))
-    assert tuple_cut(3, (1, 1, 1), 1).rhs == -1
+    assert is_facet(OddSubsetCut(Z3, 2, (1, 1), 2))
+    assert not is_facet(OddSubsetCut(Z3, 2, (1, 0), 1))
+    assert OddSubsetCut(Z3, 3, (1, 1, 1), 1).rhs == -1
     with pytest.raises(ValueError):
-        tuple_cut(2, (3, 0), 1)
+        OddSubsetCut(Z3, 2, (3, 0), 1)
     with pytest.raises(ValueError):
-        tuple_cut(2, (2, 0), 3)
+        OddSubsetCut(Z3, 2, (2, 0), 3)
     for digits, channel in (((2, 0.0), 1), ((2.0, 0), 1), ((2, 0), 1.0)):
         with pytest.raises(ValueError, match="got float"):
-            tuple_cut(2, digits, channel)
-    assert tuple_cut(2, (2, 0), True).describe() == {"A": [2, 0], "channel": "1"}
+            OddSubsetCut(Z3, 2, digits, channel)
+    assert OddSubsetCut(Z3, 2, (2, 0), True).describe() == {
+        "A": [2, 0], "channel": "1"}
 
 
 def test_z3_cut_coefficients_frozen():
     # channel 1 uses u_0=(1,2), u_1=(1,-1), u_2=(-2,-1) per digit
-    assert s_coefficients(tuple_cut(2, (0, 1), 1)) == (1, 2, 1, -1)
+    assert s_coefficients(OddSubsetCut(Z3, 2, (0, 1), 1)) == (1, 2, 1, -1)
     # channel 2 uses w_0=(2,1), w_1=(-1,1), w_2=(-1,-2)
-    assert s_coefficients(tuple_cut(2, (0, 1), 2)) == (2, 1, -1, 1)
-    assert s_coefficients(tuple_cut(2, (2, 2), 1)) == (-2, -1, -2, -1)
+    assert s_coefficients(OddSubsetCut(Z3, 2, (0, 1), 2)) == (2, 1, -1, 1)
+    assert s_coefficients(OddSubsetCut(Z3, 2, (2, 2), 1)) == (-2, -1, -2, -1)
 
 
 def test_z2_and_z2xz2_cut_coefficients_frozen():
-    assert s_coefficients(subset_cut(Z2, 3, (2,))) == (1, -1, 1)
+    assert s_coefficients(OddSubsetCut(Z2, 3, (2,), 1)) == (1, -1, 1)
     # channel b of a cut with A={1}: signs on the two non-channel
     # coordinates of each block, negated inside A
-    assert s_coefficients(subset_cut(Z2xZ2, 2, (1,), channel=2)) == (
+    assert s_coefficients(OddSubsetCut(Z2xZ2, 2, (1,), 2)) == (
         -1, 0, -1, 1, 0, 1)
 
 
 def test_s_value_and_halfspace_sides():
-    cut = subset_cut(Z2, 2, (1,))
+    cut = OddSubsetCut(Z2, 2, (1,), 1)
+    assert cut.side == MINUS
     p_in = (Fraction(1), Fraction(0))   # S = -1 <= rhs 0
     p_out = (Fraction(0), Fraction(1))  # S = 1 >= 0
-    assert value(cut_halfspace(cut, MINUS), p_in) == -1
-    assert holds(cut_halfspace(cut, MINUS), p_in)
-    assert not holds(cut_halfspace(cut, MINUS), p_out)
-    assert holds(cut_halfspace(cut, PLUS), p_out)
-    with pytest.raises(ValueError):
-        cut_halfspace(cut, "sideways")
+    assert value(cut.halfspace, p_in) == -1
+    assert holds(cut.halfspace, p_in)
+    assert not holds(cut.halfspace, p_out)
+    assert holds(OddSubsetCut(Z2, 2, (1,), 1, PLUS).halfspace, p_out)
+
+
+@pytest.mark.parametrize("side", ["sideways", "MINUS", None])
+def test_a_cut_refuses_a_side_other_than_minus_or_plus(side):
+    with pytest.raises(ValueError, match="side must be 'minus' or 'plus'"):
+        OddSubsetCut(Z2, 2, (1,), 1, side)
+
+
+def test_a_plus_cut_negates_the_minus_row():
+    minus = OddSubsetCut(Z3, 3, (2, 0, 1), 2)
+    plus = replace(minus, side=PLUS)
+    assert plus != minus
+    # The plus halfspace is the minus row negated, built once on first read.
+    assert "halfspace" not in vars(plus)
+    first = plus.halfspace
+    assert first.normal == tuple(-c for c in minus.halfspace.normal)
+    assert first.offset == -minus.halfspace.offset
+    assert plus.halfspace is first
+    # The kept halfspace is out of equality, hashing and repr.
+    fresh = OddSubsetCut(Z3, 3, (2, 0, 1), 2, PLUS)
+    assert fresh == plus and hash(fresh) == hash(plus)
+    assert repr(fresh) == repr(plus) and "HalfSpace" not in repr(plus)
 
 
 @pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.name)
@@ -173,7 +193,7 @@ def test_facet_system_supports_vertices(group):
     for v in vp.vertices:
         assert contains(hp, v)
     for cut in facet_cuts(group, n):
-        minus = cut_halfspace(cut, MINUS)
+        minus = replace(cut, side=MINUS).halfspace
         assert min(value(minus, v) for v in vp.vertices) == cut.rhs
 
 
@@ -186,7 +206,7 @@ def test_z3_facet_walk_is_lazy():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rows[36] == cut_halfspace(tuple_cut(12, (0,) * 11 + (2,), 1), PLUS)
+    assert rows[36] == OddSubsetCut(Z3, 12, (0,) * 11 + (2,), 1, PLUS).halfspace
     assert peak < 1 << 20
 
 

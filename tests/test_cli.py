@@ -553,6 +553,9 @@ PINNED_STDOUT_SHA256 = {
         "8bc248809d0d30abb7983ad014a9477b9bfd28589a294c609f54230b1c520024",
     "lemma --lemma z2z2-cut-lattice-points --n 3 --format text":
         "1e615867cdd9940f0a650eebd0b96d6fd86887db0ceee62cdaf9fbbecbb4a8c9",
+    # The only family with plus sides, which its json hypotheses list.
+    "lemma --lemma z2z2-cut-lattice-points --n 3 --format json":
+        "95a1a61ec74a08ef89ebd51ea203e08539a796bc064e6f5308fadea052686be6",
     "lemma --lemma z3-far-same-channel-flat --n 3 --format text":
         "87186eff6fa68ff02edc898b1ffb4efcb66911388304ae18844b22e26a7e6bbc",
     "lemma --lemma z3-near-same-channel-contained --n 3 --format text":

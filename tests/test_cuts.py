@@ -13,11 +13,8 @@ from clawvol.clawpoly import (
     OddSubsetCut,
     ambient,
     ambient_dim,
-    cut_halfspace,
     model_lattice_index,
     s_coefficients,
-    subset_cut,
-    tuple_cut,
     z3_facet_tuples,
 )
 from clawvol.cuts import (
@@ -60,11 +57,10 @@ F = Fraction
 
 
 def test_cutspec_validation():
-    cut = subset_cut(Z2, 3, (1,))
+    cut = OddSubsetCut(Z2, 3, (1,), 1)
     spec = CutSpec(Z2, 3, (cut,))
-    assert spec.sides == ("minus",)
-    with pytest.raises(ValueError):
-        CutSpec(Z2, 3, (cut,), ("minus", "minus"))
+    # The piece is cut by the cut's own halfspace, the one it keeps.
+    assert cut_piece(spec).halfspaces[-1] is cut.halfspace
     with pytest.raises(ValueError):
         CutSpec(Z3, 3, (cut,))  # group mismatch
     with pytest.raises(ValueError):
@@ -73,13 +69,15 @@ def test_cutspec_validation():
 
 def test_piece_volumes_frozen():
     # a single Z2 cut piece is a unit simplex slice of volume 1
-    assert piece_volume(CutSpec(Z2, 3, (subset_cut(Z2, 3, (1,)),))) == 1
+    assert piece_volume(CutSpec(Z2, 3, (OddSubsetCut(Z2, 3, (1,), 1),))) == 1
     # one Z2xZ2 facet cut at n = 2
-    one = CutSpec(Z2xZ2, 2, (subset_cut(Z2xZ2, 2, (1,), channel=1),))
+    one = CutSpec(Z2xZ2, 2, (OddSubsetCut(Z2xZ2, 2, (1,), 1),))
     assert piece_volume(one) == 10
-    # one Z3 facet cut at n = 2
-    z3_one = CutSpec(Z3, 2, (tuple_cut(2, (2, 0), 1),))
+    # one Z3 facet cut at n = 2, and the other side of it
+    z3_one = CutSpec(Z3, 2, (OddSubsetCut(Z3, 2, (2, 0), 1),))
     assert piece_volume(z3_one) == 3
+    z3_plus = CutSpec(Z3, 2, (OddSubsetCut(Z3, 2, (2, 0), 1, PLUS),))
+    assert piece_volume(z3_plus) == 3
 
 
 def test_assemble_matches_formula_through_n_40():
@@ -97,13 +95,13 @@ def union_volume_by_regions(group, n):
     Exponential in the cut count, so only tiny n are sensible; this is the
     independent check that the assembly's counting is right.
     """
-    all_cuts = facet_cuts(group, n)
+    # (plus, minus) per cut: bit i of a pattern picks cut i's minus side.
+    sides = [(c, replace(c, side=MINUS)) for c in facet_cuts(group, n)]
     base = ambient(group, n)
     total = F(0)
-    for pattern in range(1, 1 << len(all_cuts)):
-        rows = tuple(
-            cut_halfspace(c, MINUS if pattern >> i & 1 else PLUS)
-            for i, c in enumerate(all_cuts))
+    for pattern in range(1, 1 << len(sides)):
+        rows = tuple(pair[pattern >> i & 1].halfspace
+                     for i, pair in enumerate(sides))
         region = base.with_halfspaces(rows)
         total += lattice_volume(vertex_enumeration(region))
     return total
@@ -317,7 +315,7 @@ def points_verdict(claim):
         if not points:
             return Verdict(True, "contained", "empty")
         for c in z3_facet_tuples(spec.n):
-            target = cut_halfspace(tuple_cut(spec.n, c, other), MINUS)
+            target = OddSubsetCut(Z3, spec.n, c, other).halfspace
             if all(holds(target, p) for p in points):
                 return Verdict(True, "contained", f"C={list(c)} channel={other}")
         return Verdict(False, "contained", "no containing cut found")
@@ -375,8 +373,8 @@ def fresh_claims(lemma_id, n):
     group, kind, instances, _ = LEMMA_FAMILIES[lemma_id]
     return tuple(
         LemmaClaim(lemma_id, CutSpec(group, n, tuple(
-            OddSubsetCut(group, n, a, g) for a, g in pairs), sides), kind, expected)
-        for pairs, sides, expected in instances(n))
+            OddSubsetCut(group, n, *key) for key in keys)), kind, expected)
+        for keys, expected in instances(n))
 
 
 @pytest.mark.parametrize("lemma_id", LEMMA_IDS)
@@ -400,18 +398,23 @@ def test_claims_share_equal_cuts(lemma_id):
 def test_cut_halfspaces_are_built_once_per_side():
     distinct = {c for lemma_id in LEMMA_IDS
                 for claim in lemma_claims(lemma_id, 3) for c in claim.spec.cuts}
-    # Every cut at n = 3: 2^3 for Z2, 3 * 2^3 for Z2xZ2, 2 * 3^3 for Z3.
-    assert len(distinct) == 8 + 24 + 54
+    # Every minus cut at n = 3: 2^3 for Z2, 3 * 2^3 for Z2xZ2, 2 * 3^3 for
+    # Z3; and the plus side of every Z2xZ2 cut, which only the lattice
+    # point claims take.
+    sides = Counter((c.group, c.side) for c in distinct)
+    assert sides == {(Z2, MINUS): 8, (Z2xZ2, MINUS): 24, (Z3, MINUS): 54,
+                     (Z2xZ2, PLUS): 24}
     for cut in distinct:
         coeffs = s_coefficients(cut)
-        built = {MINUS: HalfSpace(coeffs, cut.rhs),
-                 PLUS: HalfSpace(tuple(-c for c in coeffs), -cut.rhs)}
-        for side in (MINUS, PLUS):
-            first = cut_halfspace(cut, side)
-            assert first == built[side]
-            assert cut_halfspace(cut, side) is first
+        if cut.side == PLUS:
+            built = HalfSpace(tuple(-c for c in coeffs), -cut.rhs)
+        else:
+            built = HalfSpace(coeffs, cut.rhs)
+        first = cut.halfspace
+        assert first == built
+        assert cut.halfspace is first
         # The memo is invisible to equality, hashing and repr.
-        copy = OddSubsetCut(cut.group, cut.n, cut.subset, cut.channel)
+        copy = OddSubsetCut(cut.group, cut.n, cut.subset, cut.channel, cut.side)
         assert copy == cut and hash(copy) == hash(cut) and repr(copy) == repr(cut)
 
 
@@ -432,7 +435,7 @@ def test_a_claim_list_builds_each_halfspace_once(monkeypatch):
     monkeypatch.setattr(cuts, "vertex_rays", enumerating)
     claims = lemma_claims("z3-double-pair-flat", 3)
     assert all(check_lemma(claim).confirmed for claim in claims)
-    # Only minus sides: one call per distinct cut, however many claims.
+    # One call per distinct cut, however many claims.
     distinct = {c for claim in claims for c in claim.spec.cuts}
     assert dict(calls) == dict.fromkeys(distinct, 1)
     assert len(claims) == 1296 and len(distinct) == 18
@@ -443,8 +446,8 @@ def test_a_claim_list_builds_each_halfspace_once(monkeypatch):
 
 
 def test_flat_contained_and_integral_claims_build_no_vertex_set(monkeypatch):
-    # These kinds decide on the double description's rays; only an integral
-    # refutation enumerates the points, to name a fractional vertex.
+    # These kinds decide on the double description's rays; an integral
+    # refutation reads its fractional vertex off them too.
     built = []
 
     def recording(hp):
@@ -464,6 +467,8 @@ def test_flat_contained_and_integral_claims_build_no_vertex_set(monkeypatch):
     volume = lemma_claims("z3-single-cut-volume", 3)[0]
     verdict = check_lemma(replace(volume, kind=cuts.INTEGRAL_VERTICES,
                                   expected=None))
-    assert not verdict.confirmed
-    assert verdict.computed.startswith("fractional vertex ")
-    assert built == [cut_piece(volume.spec)]
+    assert not verdict.confirmed and not built
+    # The vertex named is the first non-integral point of the vertex set.
+    bad = next(v for v in piece_vertices(volume.spec).vertices
+               if any(x.denominator != 1 for x in v))
+    assert verdict.computed == f"fractional vertex {bad}"

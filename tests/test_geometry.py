@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from clawvol import cli, clawpoly, geometry
-from clawvol.clawpoly import subset_cut, tuple_cut
+from clawvol.clawpoly import OddSubsetCut
 from clawvol.cuts import CutSpec, cut_piece, lemma_claims, piece_vertices
 from clawvol.geometry import (
     HPolytope,
@@ -33,7 +33,8 @@ from clawvol.geometry import (
     _dd_state,
     _primitive,
 )
-from clawvol.groups import Z2, Z2xZ2
+from clawvol.formulas import degree
+from clawvol.groups import Z2, Z2xZ2, Z3
 from clawvol.serialize import dumps
 from helpers import (
     contains,
@@ -95,10 +96,17 @@ PUBLIC_ENTRIES = {
     "vpolytope-whole": lambda x: VPolytope(2, ((0, 0), (1, x))),
     "lattice": lambda x: LatticeBasis(2, ((1, 0), (0, x))),
     "affine-dim": lambda x: affine_dim([(0, 0), (x, 1)]),
-    "subset-cut-position": lambda x: subset_cut(Z2, 3, (1, x)),
-    "subset-cut-channel": lambda x: subset_cut(Z2xZ2, 3, (1,), x),
-    "tuple-cut-digit": lambda x: tuple_cut(3, (1, x, 0), 1),
-    "tuple-cut-channel": lambda x: tuple_cut(3, (1, 1, 0), x),
+    "subset-cut-position": lambda x: OddSubsetCut(Z2, 3, (x, 2), 1),
+    "subset-cut-channel": lambda x: OddSubsetCut(Z2xZ2, 3, (1,), x),
+    "tuple-cut-digit": lambda x: OddSubsetCut(Z3, 3, (1, x, 0), 1),
+    "tuple-cut-channel": lambda x: OddSubsetCut(Z3, 3, (1, 1, 0), x),
+    # The sizes: a dimension, and an n, which the cuts and formulas check
+    # through one function (doubled here, as n must be at least 2).
+    "hpolytope-dim": lambda x: HPolytope(x, ()),
+    "vpolytope-dim": lambda x: VPolytope(x, ((0,),)),
+    "lattice-dim": lambda x: LatticeBasis(x, ((1,),)),
+    "cut-n": lambda x: OddSubsetCut(Z2, x, (1,), 1),
+    "degree-n": lambda x: degree(Z2, 2 * x),
 }
 # The test-side point checks take rational points.
 HELPER_ENTRIES = {
