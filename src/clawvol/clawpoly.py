@@ -151,26 +151,29 @@ def z3_facet_tuples(n: int) -> Iterator[tuple[int, ...]]:
     return (t for t in z3_tuples(n) if sum(t) % 3 == 2)
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=8, typed=True)
 def z3_minus_halfspaces(n: int, channel: int
                         ) -> tuple[tuple[tuple[int, ...], HalfSpace], ...]:
     """Each Z3 facet tuple C, in lexicographic order, with S_{C,channel} <= rhs.
 
     Built once per (n, channel) and shared: a contained claim tests its
-    piece against every one of them.
+    piece against every one of them.  The cache is typed, so a float or
+    ``Fraction`` equal to a cached int is still refused.
     """
+    _check_n(n)
     return tuple((c, OddSubsetCut(Z3, n, c, channel).halfspace)
                  for c in z3_facet_tuples(n))
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=8, typed=True)
 def ambient(group: Group, n: int) -> HPolytope:
     """The box or product of unit simplices containing the polytope.
 
     Z2: the cube [0,1]^n.  Z2xZ2 and Z3: per block, all coordinates
     nonnegative with block sum at most 1.  The object is shared between
     calls, so every piece cut from it resumes vertex enumeration from the
-    same memoised cone.
+    same memoised cone.  The cache is typed, so a float or ``Fraction``
+    equal to a cached int is still refused.
     """
     _check_n(n, 1)
     d = ambient_dim(group, n)

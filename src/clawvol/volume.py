@@ -34,9 +34,11 @@ hull facet.  Inserting a point p:
   all of R's vertices.  Apart from F, that is none when R is inside F, and
   exactly one hull facet G when R is on F's boundary.  When G is visible
   too, or R is inside F, R + p is not on the new boundary.  The ridges of
-  f are tested in one forward pass: the ANDs of the masks of the vertices
-  after each position are built once, back to front, and the AND of
-  those before it is carried along the pass;
+  f are tested by one call of straight-line code made once per dimension
+  d (``_ridge_masks``): it returns, for each vertex of f, the AND of the
+  hidden facets' bits and the masks of f's other vertices, from prefix
+  and suffix ANDs with no loop; the cone step visits only the nonzero
+  ones, in vertex order;
 * otherwise R + p is a new boundary simplex, taken in the order of the
   vertex of f that R omits.  When p lies on G's hyperplane (h_G(p) = 0), it
   joins G; the hidden facets through p are collected once per round, by
@@ -77,10 +79,12 @@ has volume 0.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from operator import itemgetter, mul
 
 from .geometry import LatticeBasis, VPolytope, _primitive, bareiss, lattice_index
@@ -125,6 +129,35 @@ class _HullFacet:
         self.bit = bit
         self.simplices = simplices
         self.heights = {}
+
+
+@functools.cache
+def _ridge_masks(d: int):
+    """The ridge test of a coned simplex in dimension d, as straight-line code.
+
+    The function returned maps ``(incidence, hidden, key)``, ``key`` a
+    boundary simplex's d vertex indices, to d masks: mask j is ``hidden``
+    ANDed with ``incidence[v]`` for every vertex v of ``key`` but
+    ``key[j]``.  It is made once per d, the way ``dataclasses`` writes an
+    ``__init__``: the prefix ANDs ``p`` run from ``hidden`` forwards, the
+    suffix ANDs ``s`` from the last vertex backwards, and mask j is
+    ``p{j} & s{j + 1}``, with no loop and no list.
+    """
+    lines = ["def ridge_masks(incidence, hidden, key):"]
+    if d:
+        lines.append("    " + "".join(f"k{t}, " for t in range(d)) + "= key")
+        lines += [f"    m{t} = incidence[k{t}]" for t in range(d)]
+        lines.append("    p0 = hidden")
+        lines += [f"    p{t} = p{t - 1} & m{t - 1}" for t in range(1, d)]
+        lines.append(f"    s{d - 1} = m{d - 1}")
+        lines += [f"    s{t} = m{t} & s{t + 1}" for t in range(d - 2, 0, -1)]
+        masks = [f"p{j} & s{j + 1}" for j in range(d - 1)] + [f"p{d - 1}"]
+    else:
+        masks = []
+    lines.append("    return (" + "".join(f"{m}, " for m in masks) + ")")
+    namespace: dict = {}
+    exec("\n".join(lines), namespace)
+    return namespace["ridge_masks"]
 
 
 def triangulate(vp: VPolytope) -> Triangulation:
@@ -179,6 +212,7 @@ def triangulate(vp: VPolytope) -> Triangulation:
         incidence[v] = live ^ 1 << k
     serial = d + 1
     seeded = set(seed)
+    ridge_masks = _ridge_masks(d)
 
     for i in range(count):
         if i in seeded:
@@ -218,28 +252,24 @@ def triangulate(vp: VPolytope) -> Triangulation:
             key_bits = mask ^ 1 << parent[omit]
             vol = depth * base
             total += vol
-            q = bisect(key, i)
-            full = key[:q] + (i,) + key[q:]
+            # Past the seed, a new point comes after every vertex already
+            # placed; only keys that hold a seed vertex above i need the
+            # search.
+            if key[-1] < i:
+                q = d
+                full = key + (i,)
+            else:
+                q = bisect(key, i)
+                full = key[:q] + (i,) + key[q:]
             simplices.append(full)
             full_bits = key_bits | 1 << i
-            # The hull facets through the ridge that omits key[j] have
-            # their bits set in the masks of all vertices but key[j]: the
-            # prefix AND ``acc``, carried from hidden, times the suffix AND
-            # ``after``.  Starting from the facets hidden before p leaves
-            # out the visible ones and those made in this round.
-            acc = -1
-            suffix = [acc]
-            for v in key[:0:-1]:
-                acc &= incidence[v]
-                suffix.append(acc)
-            acc = hidden
-            j = -1
-            for v, after in zip(key, reversed(suffix)):
-                j += 1
-                other = acc & after
-                acc &= incidence[v]
-                if not other:
-                    continue
+            # The hull facets through the ridge that omits key[j] are those
+            # whose bits are set in the masks of all other vertices of key.
+            # Starting from the facets hidden before p leaves out the
+            # visible ones and those made in this round.
+            others = ridge_masks(incidence, hidden, key)
+            for j, v in compress(enumerate(key), others):
+                other = others[j]
                 if other & (other - 1):
                     raise AssertionError("a ridge lies in three hull facets")
                 # p on G's hyperplane extends G, whose bit the ridge's

@@ -107,6 +107,11 @@ PUBLIC_ENTRIES = {
     "lattice-dim": lambda x: LatticeBasis(x, ((1,),)),
     "cut-n": lambda x: OddSubsetCut(Z2, x, (1,), 1),
     "degree-n": lambda x: degree(Z2, 2 * x),
+    # The cached sizes: the int call's result is kept, and the cache must
+    # not hand it to an equal float or Fraction.
+    "ambient-n": lambda x: clawpoly.ambient(Z2, 3 * x),
+    "z3-minus-n": lambda x: clawpoly.z3_minus_halfspaces(3 * x, 1),
+    "z3-minus-channel": lambda x: clawpoly.z3_minus_halfspaces(3, x),
 }
 # The test-side point checks take rational points.
 HELPER_ENTRIES = {
@@ -119,13 +124,15 @@ HELPER_ENTRIES = {
 def test_floats_are_refused(entry):
     """A float, a ``Fraction`` and a string are refused even when they
     equal 1, with a ``ValueError`` that names their type; the int 1 passes.
+    The refusal holds before and after the int call, which a cache keeps.
     The test helpers refuse only the float and the string."""
     build = PUBLIC_ENTRIES.get(entry) or HELPER_ENTRIES[entry]
     refused = (1.0, F(1), "1") if entry in PUBLIC_ENTRIES else (1.0, "1")
-    for bad in refused:
-        with pytest.raises(ValueError, match=f"got {type(bad).__name__}$"):
-            build(bad)
-    build(1)
+    for _ in range(2):
+        for bad in refused:
+            with pytest.raises(ValueError, match=f"got {type(bad).__name__}$"):
+                build(bad)
+        build(1)
 
 
 @pytest.mark.parametrize("call", [

@@ -1,11 +1,14 @@
 """Triangulation, exact volumes, and free sums."""
 
+import functools
 import gc
 import hashlib
 import itertools
 import random
+from bisect import bisect
 from fractions import Fraction
 from math import factorial, lcm
+from operator import and_
 
 import pytest
 from hypothesis import given, settings
@@ -66,6 +69,16 @@ def test_triangulate_flat_or_small_inputs():
     assert triangulate(line).simplices == ()
     assert lattice_volume(line) == 0
     assert lattice_volume(VPolytope(3, ())) == 0
+
+
+def test_triangulate_a_point_and_a_segment():
+    # d = 0 cones nothing, and d = 1 cones boundary points, whose one
+    # ridge is empty and so lies in every hidden hull facet.
+    point = triangulate(VPolytope(0, [()]))
+    assert point.simplices == ((0,),) and point.volume == 1
+    segment = triangulate(VPolytope(1, ((3,), (-2,), (0,), (1,), (5,))))
+    assert segment.simplices == ((0, 1), (1, 2), (2, 3), (3, 4))
+    assert segment.volume == 7
 
 
 def test_non_extreme_points_do_not_change_volume():
@@ -187,6 +200,45 @@ def test_claw_simplex_counts_frozen(group, n, piece, count, digest):
     simplices = triangulate(vp).simplices
     assert len(simplices) == count
     assert hashlib.sha256(repr(simplices).encode()).hexdigest() == digest
+
+
+def test_z2_6_cones_keys_that_hold_a_seed_vertex_above_the_new_point(monkeypatch):
+    # Seed vertices 8 and 16 are placed before points 5..15, so a boundary
+    # simplex through them needs the search for the new point's position;
+    # every other coned key ends below it.  The frozen z2-6 digest checks
+    # what this path builds.
+    searches = []
+
+    def counted(key, i):
+        searches.append(i)
+        return bisect(key, i)
+
+    monkeypatch.setattr(volume, "bisect", counted)
+    t = triangulate(vertices(GROUPS["z2"], 6))
+    assert t.simplices[0] == (0, 1, 2, 3, 4, 8, 16)
+    assert len(t.simplices) == 344 and len(searches) == 51
+    assert max(searches) < 16
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_ridge_masks_match_their_definition(data):
+    # Mask j ANDs hidden with the incidence masks of every vertex of key
+    # but key[j].
+    d = data.draw(st.integers(1, 16))
+    masks = st.integers(0, 2 ** 40 - 1)
+    incidence = data.draw(st.lists(masks, min_size=d, max_size=2 * d))
+    key = tuple(data.draw(st.permutations(range(len(incidence))))[:d])
+    hidden = data.draw(masks)
+    expected = tuple(
+        functools.reduce(and_, (incidence[v] for v in key[:j] + key[j + 1:]), hidden)
+        for j in range(d))
+    assert volume._ridge_masks(d)(incidence, hidden, key) == expected
+
+
+def test_ridge_masks_are_made_once_per_dimension():
+    assert volume._ridge_masks(0)([], -1, ()) == ()
+    assert volume._ridge_masks(7) is volume._ridge_masks(7)
 
 
 @st.composite
