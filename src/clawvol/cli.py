@@ -8,15 +8,19 @@ of claim records is held whole.  Only the one-number line of ``degree``,
 ``volume`` and ``assemble`` is written here.
 
 Exit codes: 0 success, 1 verification failure (a refuted claim or a
-cross-check mismatch), 2 usage error, 3 guard-rail refusal.  Every guard
-rail is decided in ``_guard`` from the request alone, before any library
-call; the library computes whatever it is asked.  Guard rails can be lifted
-with --override-guard or the CLAWVOL_OVERRIDE_GUARD environment variable.
+cross-check mismatch), 2 usage error, 3 guard-rail refusal.  ``main`` is
+the one error boundary: a ``ValueError`` raised under it is a usage error.
+``--group`` (its name) and ``--output`` (its directory) are checked as the
+command line is parsed, before any guard rail.  Every guard rail is decided
+in ``_guard`` from the request alone, before any library call; the library
+computes whatever it is asked.  Guard rails can be lifted with
+--override-guard or the CLAWVOL_OVERRIDE_GUARD environment variable.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 import sys
 from collections import Counter
 from collections.abc import Iterable
@@ -43,17 +47,6 @@ def _fail(code: int, kind: str, message: str) -> None:
     message = " ".join(str(message).split())
     sys.stderr.write(f"clawvol: error: {kind}: {message}\n")
     sys.exit(code)
-
-
-def _handle_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except ValueError as exc:
-            _fail(2, "usage", str(exc))
-
-    return wrapper
 
 
 def _listed_rows(verb: str, group: Group, n: int) -> int:
@@ -127,20 +120,43 @@ def _emit(pieces: Iterable[str], output: str | None) -> None:
         sys.stdout.writelines(pieces)
 
 
+def _to_group(ctx, param, name: str | None) -> Group | None:
+    return None if name is None else group_by_name(name)
+
+
+def _writable_output(ctx, param, path: str | None) -> str | None:
+    folder = path and os.path.dirname(os.path.abspath(path))
+    if folder and not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise ValueError(f"cannot write {path}: {folder} is not a writable "
+                         "directory")
+    return path
+
+
 _group_option = click.option(
-    "--group", "group_name", required=True,
+    "--group", "group", required=True, callback=_to_group,
     help="Group: z2, z2xz2, or z3.")
 _n_option = click.option("--n", "n", type=int, required=True,
                          help="Number of leaves (n >= 2).")
 _output_option = click.option("--output", "output", default=None,
                               type=click.Path(dir_okay=False, writable=True),
+                              callback=_writable_output,
                               help="Write to this file instead of stdout.")
 _guard_option = click.option(
     "--override-guard", "override_guard", is_flag=True, envvar=GUARD_ENV,
     help="Lift the size guard rails on geometric computations.")
 
 
-@click.group()
+class _UsageBoundary(click.Group):
+    """A ``ValueError`` from parsing or running a verb exits 2."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            _fail(2, "usage", str(exc))
+
+
+@click.group(cls=_UsageBoundary)
 @click.version_option(version=__version__)
 @click.pass_context
 def main(ctx: click.Context) -> None:
@@ -160,11 +176,9 @@ def main(ctx: click.Context) -> None:
               type=click.Choice(["text", "json", "ext"]))
 @_output_option
 @_guard_option
-@_handle_errors
-def vertices_cmd(group_name: str, n: int, fmt: str, output: str | None,
+def vertices_cmd(group: Group, n: int, fmt: str, output: str | None,
                  override_guard: bool) -> None:
     """List the polytope's vertices."""
-    group = group_by_name(group_name)
     _guard(override_guard, "vertices", group, n)
     _emit(serialize.vertex_lines(claw_vertices(group, n), fmt), output)
 
@@ -176,11 +190,9 @@ def vertices_cmd(group_name: str, n: int, fmt: str, output: str | None,
               type=click.Choice(["text", "json", "ine"]))
 @_output_option
 @_guard_option
-@_handle_errors
-def facets_cmd(group_name: str, n: int, fmt: str, output: str | None,
+def facets_cmd(group: Group, n: int, fmt: str, output: str | None,
                override_guard: bool) -> None:
     """List the facet inequalities <a, x> <= b."""
-    group = group_by_name(group_name)
     _guard(override_guard, "facets", group, n)
     rows = facet_halfspaces(group, n)
     _emit(serialize.facet_lines(ambient_dim(group, n), rows,
@@ -194,11 +206,9 @@ def facets_cmd(group_name: str, n: int, fmt: str, output: str | None,
               type=click.Choice(list(METHODS)))
 @_output_option
 @_guard_option
-@_handle_errors
-def volume_cmd(group_name: str, n: int, method: str, output: str | None,
+def volume_cmd(group: Group, n: int, method: str, output: str | None,
                override_guard: bool) -> None:
     """Lattice volume of the polytope in the standard lattice Z^d."""
-    group = group_by_name(group_name)
     _guard(override_guard, "volume", group, n, methods=(method,))
     value = degree_by_method(group, n, method)
     value *= model_lattice_index(group)
@@ -212,11 +222,9 @@ def volume_cmd(group_name: str, n: int, method: str, output: str | None,
               type=click.Choice(list(METHODS)))
 @_output_option
 @_guard_option
-@_handle_errors
-def degree_cmd(group_name: str, n: int, method: str, output: str | None,
+def degree_cmd(group: Group, n: int, method: str, output: str | None,
                override_guard: bool) -> None:
     """Degree: the volume measured in the model lattice."""
-    group = group_by_name(group_name)
     _guard(override_guard, "degree", group, n, methods=(method,))
     value = degree_by_method(group, n, method)
     _emit([rat_to_str(value) + "\n"], output)
@@ -226,10 +234,8 @@ def degree_cmd(group_name: str, n: int, method: str, output: str | None,
 @_group_option
 @_n_option
 @_output_option
-@_handle_errors
-def assemble_cmd(group_name: str, n: int, output: str | None) -> None:
+def assemble_cmd(group: Group, n: int, output: str | None) -> None:
     """Degree by the arithmetic inclusion-exclusion route."""
-    group = group_by_name(group_name)
     value = degree_by_method(group, n, "inclusion-exclusion")
     _emit([rat_to_str(value) + "\n"], output)
 
@@ -243,11 +249,9 @@ def assemble_cmd(group_name: str, n: int, output: str | None) -> None:
               type=click.Choice(["text", "json"]))
 @_output_option
 @_guard_option
-@_handle_errors
-def verify_cmd(group_name: str, n: int, methods: tuple[str, ...], fmt: str,
+def verify_cmd(group: Group, n: int, methods: tuple[str, ...], fmt: str,
                output: str | None, override_guard: bool) -> None:
     """Cross-check the degree by independent methods; exit 1 on mismatch."""
-    group = group_by_name(group_name)
     selected: tuple[str, ...] = ()
     for m in methods:
         picked = METHODS if m == "all" else (m,)
@@ -263,21 +267,20 @@ def verify_cmd(group_name: str, n: int, methods: tuple[str, ...], fmt: str,
 @click.option("--lemma", "lemma_id", required=True,
               type=click.Choice(list(LEMMA_IDS)))
 @_n_option
-@click.option("--group", "group_name", default=None,
+@click.option("--group", "group", default=None, callback=_to_group,
               help="Optional; must match the lemma's group.")
 @click.option("--format", "fmt", default="text",
               type=click.Choice(["text", "json"]))
 @_output_option
 @_guard_option
-@_handle_errors
-def lemma_cmd(lemma_id: str, n: int, group_name: str | None, fmt: str,
+def lemma_cmd(lemma_id: str, n: int, group: Group | None, fmt: str,
               output: str | None, override_guard: bool) -> None:
     """Check every instance of one claim family; exit 1 on any refutation."""
     expected_group = LEMMA_GROUPS[lemma_id]
-    if group_name is not None and group_by_name(group_name) is not expected_group:
+    if group is not None and group is not expected_group:
         raise ValueError(
             f"lemma {lemma_id} concerns group {expected_group.name}, "
-            f"not {group_name}")
+            f"not {group.name}")
     _guard(override_guard, "lemma", expected_group, n, lemma_id=lemma_id)
     # Called before the output is opened, so a usage error writes no file.
     records = run_lemma(lemma_id, n)
@@ -319,11 +322,9 @@ def _parse_n_range(text: str) -> tuple[int, int]:
               type=click.Choice(["text", "json", "csv"]))
 @_output_option
 @_guard_option
-@_handle_errors
-def table_cmd(group_name: str, n_range: str, fmt: str, output: str | None,
+def table_cmd(group: Group, n_range: str, fmt: str, output: str | None,
               override_guard: bool) -> None:
     """Tabulate degrees over a range of n."""
-    group = group_by_name(group_name)
     lo, hi = _parse_n_range(n_range)
     _guard(override_guard, "table", group, hi)
     _emit(serialize.table_lines(group, degree_table(group, lo, hi), fmt), output)

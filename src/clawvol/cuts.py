@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import combinations, product
 from math import comb, factorial
 from operator import mul
@@ -197,10 +197,9 @@ def _single_cut_volumes(tag, channels, pool, n):
 def _same_parity_pairs(channels, n):
     subsets = _subsets(n)
     for g in channels:
-        for i, a in enumerate(subsets):
-            for b in subsets[i + 1:]:
-                if len(a) % 2 == len(b) % 2:
-                    yield ((a, g), (b, g)), None
+        for a, b in combinations(subsets, 2):
+            if len(a) % 2 == len(b) % 2:
+                yield ((a, g), (b, g)), None
 
 
 def _z22_both_sides(n):
@@ -230,11 +229,10 @@ def _z3_same_channel_pairs(pool, keep, n):
     agree mod 3 and whose count of differing positions passes ``keep``."""
     tuples = list(pool(n))
     for g in (1, 2):
-        for i, a in enumerate(tuples):
-            for b in tuples[i + 1:]:
-                if (sum(a) % 3 == sum(b) % 3
-                        and keep(sum(x != y for x, y in zip(a, b)))):
-                    yield ((a, g), (b, g)), None
+        for a, b in combinations(tuples, 2):
+            if (sum(a) % 3 == sum(b) % 3
+                    and keep(sum(x != y for x, y in zip(a, b)))):
+                yield ((a, g), (b, g)), None
 
 
 def _z3_cross_flat(n):
@@ -262,10 +260,6 @@ def _z3_cross_pairs(n):
 # Closed-form instance counts.  Z3 pairs are counted by their difference
 # pattern: two tuples at Hamming distance k with equal digit sums differ by
 # a word in {1, 2}^k whose digit sum is 0 mod 3.
-
-def _pairs(k: int) -> int:
-    return k * (k - 1) // 2
-
 
 def _digit_words(length: int, residue: int) -> int:
     """Words in {1, 2}^length whose digit sum is residue mod 3."""
@@ -296,10 +290,10 @@ LEMMA_FAMILIES: dict[str, tuple[Group, str, Callable[[int], Iterator],
         (Z2, VOLUME, partial(_single_cut_volumes, Z2_CUT, (1,), _subsets),
          lambda n: 2 ** n),
     "z2-same-parity-pair-flat": (Z2, FLAT, partial(_same_parity_pairs, (1,)),
-                                 lambda n: 2 * _pairs(2 ** (n - 1))),
+                                 lambda n: 2 * comb(2 ** (n - 1), 2)),
     "z2z2-same-channel-pair-flat":
         (Z2xZ2, FLAT, partial(_same_parity_pairs, (1, 2, 3)),
-         lambda n: 6 * _pairs(2 ** (n - 1))),
+         lambda n: 6 * comb(2 ** (n - 1), 2)),
     "z2z2-cut-lattice-points":
         (Z2xZ2, INTEGRAL_VERTICES, _z22_both_sides, lambda n: 6 * 2 ** n),
     "z2z2-single-cut-volume": (Z2xZ2, VOLUME, partial(
@@ -317,7 +311,7 @@ LEMMA_FAMILIES: dict[str, tuple[Group, str, Callable[[int], Iterator],
         lambda n: 2 * comb(n, 2) * 3 ** (n - 1)),
     "z3-cross-channel-flat": (Z3, FLAT, _z3_cross_flat, _z3_cross_flat_count),
     "z3-double-pair-flat":
-        (Z3, FLAT, _z3_double_pairs, lambda n: _pairs(3 ** (n - 1)) ** 2),
+        (Z3, FLAT, _z3_double_pairs, lambda n: comb(3 ** (n - 1), 2) ** 2),
     "z3-single-cut-volume": (Z3, VOLUME, partial(
         _single_cut_volumes, Z3_ONE_FACET, (1, 2), z3_tuples),
         lambda n: 2 * 3 ** n),
@@ -340,13 +334,9 @@ def lemma_claims(lemma_id: str, n: int) -> tuple[LemmaClaim, ...]:
     group, kind, instances, _ = LEMMA_FAMILIES[lemma_id]
     # One cut object per (A, channel, side), shared by every claim that uses
     # it, so each cut's halfspace is built once for the whole list.
-    shared: dict[tuple, OddSubsetCut] = {}
-
+    @cache
     def cut(key: tuple) -> OddSubsetCut:
-        found = shared.get(key)
-        if found is None:
-            found = shared[key] = OddSubsetCut(group, n, *key)
-        return found
+        return OddSubsetCut(group, n, *key)
 
     return tuple(
         LemmaClaim(lemma_id, CutSpec(group, n, tuple(map(cut, cuts))),

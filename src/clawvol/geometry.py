@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import mul, neg
 from typing import Iterable, Sequence
 
@@ -158,8 +159,6 @@ class VPolytope:
     dim: int
     scale: int
     rows: tuple[tuple[int, ...], ...]
-    _points: tuple[Point, ...] | None = field(default=None, compare=False,
-                                              repr=False)
 
     def __init__(self, dim: int, vertices: Iterable[Sequence]):
         dim = _int(dim)
@@ -185,18 +184,14 @@ class VPolytope:
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "rows", rows)
 
-    @property
+    @cached_property
     def vertices(self) -> tuple[Point, ...]:
         """The points ``row / scale``, built from the rows on first read."""
-        points = self._points
-        if points is None:
-            s = self.scale
-            points = self.rows if s == 1 else tuple(
-                tuple(v // s for v in r) if all(v % s == 0 for v in r)
-                else tuple(Fraction(v, s) for v in r)
-                for r in self.rows)
-            object.__setattr__(self, "_points", points)
-        return points
+        s = self.scale
+        return self.rows if s == 1 else tuple(
+            tuple(v // s for v in r) if all(v % s == 0 for v in r)
+            else tuple(Fraction(v, s) for v in r)
+            for r in self.rows)
 
     def is_empty(self) -> bool:
         return not self.rows

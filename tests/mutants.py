@@ -72,6 +72,21 @@ MUTANTS = (
            "if key[-1] > i:",
            ("tests/test_volume.py",),
            "the append-at-the-end path taken for keys with a seed vertex above i"),
+    Mutant("src/clawvol/cli.py",
+           "except ValueError as exc:",
+           "except TypeError as exc:",
+           ("tests/test_cli.py",),
+           "the CLI's error boundary catching the wrong exception"),
+    Mutant("src/clawvol/cuts.py",
+           "    @cache\n",
+           "",
+           ("tests/test_cuts.py",),
+           "every claim of a list building its own cuts"),
+    Mutant("src/clawvol/cli.py",
+           "                              callback=_writable_output,\n",
+           "",
+           ("tests/test_cli.py",),
+           "--output written without checking its directory first"),
 )
 
 IGNORE = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")

@@ -214,24 +214,30 @@ def test_lemma_writes_each_record_before_the_next_check(monkeypatch, fmt):
     assert written_at_check == list(range(8))
 
 
-@pytest.mark.parametrize("args", [
-    ("vertices", "--group", "z2", "--n", "1"),
-    ("vertices", "--group", "z9", "--n", "3", "--format", "json"),
-    ("facets", "--group", "z2", "--n", "1", "--format", "ine"),
-    ("facets", "--group", "z3", "--n", "0", "--format", "json"),
-    ("lemma", "--lemma", "z2-single-cut-simplex", "--n", "1"),
-    ("lemma", "--lemma", "z3-double-pair-flat", "--n", "0", "--format", "json"),
-    ("lemma", "--lemma", "z3-single-cut-volume", "--n", "3", "--group", "z2"),
-    ("table", "--group", "z2", "--n", "6..2"),
-    ("table", "--group", "z3", "--n", "x", "--format", "json"),
+@pytest.mark.parametrize("args, out", [
+    (("vertices", "--group", "z2", "--n", "1"), "out"),
+    (("vertices", "--group", "z9", "--n", "3", "--format", "json"), "out"),
+    (("facets", "--group", "z2", "--n", "1", "--format", "ine"), "out"),
+    (("facets", "--group", "z3", "--n", "0", "--format", "json"), "out"),
+    (("lemma", "--lemma", "z2-single-cut-simplex", "--n", "1"), "out"),
+    (("lemma", "--lemma", "z3-double-pair-flat", "--n", "0", "--format", "json"),
+     "out"),
+    (("lemma", "--lemma", "z3-single-cut-volume", "--n", "3", "--group", "z2"),
+     "out"),
+    (("table", "--group", "z2", "--n", "6..2"), "out"),
+    (("table", "--group", "z3", "--n", "x", "--format", "json"), "out"),
+    # A request that would succeed, but whose output directory is missing.
+    (("degree", "--group", "z2", "--n", "3"), "missing/out"),
 ], ids=["vertices-n1", "vertices-group", "facets-n1", "facets-n0", "lemma-n1",
-        "lemma-n0", "lemma-group", "table-reversed", "table-bad-range"])
-def test_usage_error_writes_no_file(runner, tmp_path, args):
-    target = tmp_path / "out"
+        "lemma-n0", "lemma-group", "table-reversed", "table-bad-range",
+        "missing-directory"])
+def test_usage_error_writes_no_file(runner, tmp_path, args, out):
+    target = tmp_path / out
     result = invoke(runner, *args, "--output", str(target))
     assert result.exit_code == 2
     assert result.stderr.startswith("clawvol: error: usage:")
     assert not target.exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_table_formats(runner):
@@ -358,6 +364,47 @@ def test_usage_error_wins_over_refusal(runner, spies, args, message):
     result = invoke(runner, *args)
     assert result.exit_code == 2
     assert result.stderr == f"clawvol: error: usage: {message}\n"
+
+
+def test_output_directory_is_checked_before_any_work(runner, spies,
+                                                    monkeypatch, tmp_path):
+    # Allowed by the guard rails, so only the --output check stops it.
+    monkeypatch.chdir(tmp_path)
+    result = invoke(runner, "degree", "--group", "z3", "--n", "5",
+                    "--method", "triangulation", "--output", "missing/x")
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == (
+        f"clawvol: error: usage: cannot write missing/x: {tmp_path / 'missing'} "
+        "is not a writable directory\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+# Each verb with the CLI's binding of its first library call.
+VERB_CALLS = [
+    (("vertices", "--group", "z2", "--n", "3"), "claw_vertices"),
+    (("facets", "--group", "z2", "--n", "3"), "facet_halfspaces"),
+    (("volume", "--group", "z2", "--n", "3"), "degree_by_method"),
+    (("degree", "--group", "z2", "--n", "3"), "degree_by_method"),
+    (("assemble", "--group", "z2", "--n", "3"), "degree_by_method"),
+    (("verify", "--group", "z2", "--n", "3"), "verify_degree"),
+    (("lemma", "--lemma", "z2-single-cut-simplex", "--n", "3"), "run_lemma"),
+    (("table", "--group", "z2", "--n", "2..4"), "degree_table"),
+]
+
+
+@pytest.mark.parametrize("args, binding", VERB_CALLS,
+                         ids=[args[0] for args, _ in VERB_CALLS])
+def test_every_verb_maps_a_value_error_to_a_usage_error(runner, monkeypatch,
+                                                        args, binding):
+    def boom(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, binding, boom)
+    result = invoke(runner, *args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == "clawvol: error: usage: boom\n"
 
 
 def test_listing_at_the_row_cap_is_not_refused(runner, spies):

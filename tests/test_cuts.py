@@ -295,7 +295,7 @@ def test_volume_claims_never_build_points(monkeypatch, lemma_id):
     for claim in lemma_claims(lemma_id, 3):
         assert check_lemma(claim).confirmed
     assert built and any(vp.scale > 1 for vp in built)
-    assert all(vp._points is None for vp in built)
+    assert all("vertices" not in vars(vp) for vp in built)
 
 
 def points_verdict(claim):

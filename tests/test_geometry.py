@@ -200,7 +200,7 @@ def test_points_keep_int_and_fraction_coordinates(monkeypatch):
     assert polys[0] == polys[1] == polys[2]
     assert len({hash(vp) for vp in polys}) == 1
     # Only the rows are kept; the points are built from them on first read.
-    assert all(vp._points is None for vp in polys)
+    assert all("vertices" not in vars(vp) for vp in polys)
     assert all(vp.vertices == ((0, 0), (0, 1), (F(1, 2), 2), (1, 0))
                for vp in polys)
     assert all(kinds == [{int}, {int}, {Fraction}, {int}] for kinds in (
