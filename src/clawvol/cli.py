@@ -125,8 +125,12 @@ def _to_group(ctx, param, name: str | None) -> Group | None:
 
 
 def _writable_output(ctx, param, path: str | None) -> str | None:
+    """A new output file needs a writable directory.  An existing one
+    (``/dev/null``, ``/dev/fd/N``) is written in place, and ``click.Path``
+    has already checked that it is writable."""
     folder = path and os.path.dirname(os.path.abspath(path))
-    if folder and not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+    if folder and not os.path.exists(path) and not (
+            os.path.isdir(folder) and os.access(folder, os.W_OK)):
         raise ValueError(f"cannot write {path}: {folder} is not a writable "
                          "directory")
     return path

@@ -226,18 +226,49 @@ def test_lemma_writes_each_record_before_the_next_check(monkeypatch, fmt):
      "out"),
     (("table", "--group", "z2", "--n", "6..2"), "out"),
     (("table", "--group", "z3", "--n", "x", "--format", "json"), "out"),
-    # A request that would succeed, but whose output directory is missing.
-    (("degree", "--group", "z2", "--n", "3"), "missing/out"),
+    # Allowed by the guard rails, so only the missing output directory
+    # stops it; the spies show that it stops before any library call.
+    (("degree", "--group", "z3", "--n", "5", "--method", "triangulation"),
+     "missing/out"),
 ], ids=["vertices-n1", "vertices-group", "facets-n1", "facets-n0", "lemma-n1",
         "lemma-n0", "lemma-group", "table-reversed", "table-bad-range",
         "missing-directory"])
-def test_usage_error_writes_no_file(runner, tmp_path, args, out):
+def test_usage_error_writes_no_file(runner, request, tmp_path, args, out):
     target = tmp_path / out
+    if out == "missing/out":
+        request.getfixturevalue("spies")
     result = invoke(runner, *args, "--output", str(target))
     assert result.exit_code == 2
+    assert result.stdout == ""
     assert result.stderr.startswith("clawvol: error: usage:")
+    if out == "missing/out":
+        assert result.stderr == (
+            f"clawvol: error: usage: cannot write {target}: {target.parent} "
+            "is not a writable directory\n")
     assert not target.exists()
     assert list(tmp_path.iterdir()) == []
+
+
+def test_existing_output_file_needs_no_writable_directory(runner, monkeypatch,
+                                                          tmp_path):
+    # /dev/null, /dev/stdout and /dev/fd/N sit in directories a user cannot
+    # write; an existing file is written in place, so that must not matter.
+    access = os.access
+    monkeypatch.setattr(os, "access", lambda path, mode, **kwargs: (
+        not os.path.isdir(path) and access(path, mode, **kwargs)))
+    existing = tmp_path / "out"
+    existing.write_text("old\n")
+    for path in (existing, os.devnull):
+        result = invoke(runner, "degree", "--group", "z2", "--n", "3",
+                        "--output", str(path))
+        assert result.exit_code == 0
+        assert result.stdout == result.stderr == ""
+    assert existing.read_text() == "1\n"
+    # A new file in the same directory is refused.
+    new = invoke(runner, "degree", "--group", "z2", "--n", "3",
+                 "--output", str(tmp_path / "new"))
+    assert new.exit_code == 2
+    assert list(tmp_path.iterdir()) == [existing]
 
 
 def test_table_formats(runner):
@@ -364,20 +395,6 @@ def test_usage_error_wins_over_refusal(runner, spies, args, message):
     result = invoke(runner, *args)
     assert result.exit_code == 2
     assert result.stderr == f"clawvol: error: usage: {message}\n"
-
-
-def test_output_directory_is_checked_before_any_work(runner, spies,
-                                                    monkeypatch, tmp_path):
-    # Allowed by the guard rails, so only the --output check stops it.
-    monkeypatch.chdir(tmp_path)
-    result = invoke(runner, "degree", "--group", "z3", "--n", "5",
-                    "--method", "triangulation", "--output", "missing/x")
-    assert result.exit_code == 2
-    assert result.stdout == ""
-    assert result.stderr == (
-        f"clawvol: error: usage: cannot write missing/x: {tmp_path / 'missing'} "
-        "is not a writable directory\n")
-    assert list(tmp_path.iterdir()) == []
 
 
 # Each verb with the CLI's binding of its first library call.
